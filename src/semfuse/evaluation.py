@@ -140,30 +140,27 @@ def iou_map_vs_map(pred: VoxelMap, reference: VoxelMap,
     acc = ConfusionAccumulator(reference.num_classes)
     unknown = labelset.unknown_index
 
-    pred_keys = {tuple(k) for k in pred.keys_array}
-    ref_keys = {tuple(k) for k in reference.keys_array}
-    both = sorted(pred_keys & ref_keys)
-    pred_only = sorted(pred_keys - ref_keys)
-    ref_only = sorted(ref_keys - pred_keys)
+    pred_keys, pred_rows = pred.sorted_index()
+    ref_keys, ref_rows = reference.sorted_index()
+    # in_pred[i] and in_ref[i] index the same voxel in the two key arrays
+    _, in_pred, in_ref = np.intersect1d(pred_keys, ref_keys, assume_unique=True,
+                                        return_indices=True)
+    # argmax of the distributions, not of the log states: near-ties can
+    # resolve differently after exp
+    p_cls = np.argmax(pred.distributions(pred_rows), axis=-1)
+    r_cls = np.argmax(reference.distributions(ref_rows), axis=-1)
 
-    def _argmax(vmap, keys):
-        if not keys:
-            return np.zeros(0, dtype=np.int64)
-        rows = vmap.rows_for_keys(np.array(keys))
-        return np.argmax(vmap.distributions(rows), axis=-1)
-
-    p_both = _argmax(pred, both)
-    r_both = _argmax(reference, both)
+    p_both, r_both = p_cls[in_pred], r_cls[in_ref]
     if unknown is not None:
         keep = r_both != unknown
         p_both, r_both = p_both[keep], r_both[keep]
     acc.add(p_both, r_both)
     # voxels occupied in only one map: misses resp. phantom structure
-    r_only = _argmax(reference, ref_only)
+    r_only = np.delete(r_cls, in_ref)
     if unknown is not None:
         r_only = r_only[r_only != unknown]
     acc.fn += np.bincount(r_only, minlength=acc.num_classes)
-    p_only = _argmax(pred, pred_only)
+    p_only = np.delete(p_cls, in_pred)
     acc.fp += np.bincount(p_only, minlength=acc.num_classes)
     return IoUResult(acc.iou(), labelset)
 

@@ -334,11 +334,15 @@ def render_range_image(points: np.ndarray, model: SphericalModel) -> RangeImage:
     ui = np.clip(u[idx].astype(int), 0, W - 1)
     vi = v[idx].astype(int)
     flat = vi * W + ui
-    # sort by range descending so the nearest write lands last
-    order = np.argsort(-r[idx], kind="stable")
-    img.range.reshape(-1)[flat[order]] = r[idx][order]
-    img.cell_index.reshape(-1)[flat[order]] = idx[order]
-    img.xyz.reshape(-1, 3)[flat[order]] = points[idx][order]
+    r = r[idx]
+    # sort by cell, then range, then input index descending, so each cell's
+    # first entry is its nearest point, the latest one among equal ranges
+    order = np.lexsort((-idx, r, flat))
+    cells, first = np.unique(flat[order], return_index=True)
+    win = order[first]
+    img.range.reshape(-1)[cells] = r[win]
+    img.cell_index.reshape(-1)[cells] = idx[win]
+    img.xyz.reshape(-1, 3)[cells] = points[idx[win]]
     return img
 
 

@@ -274,13 +274,12 @@ class VoxelMap:
     def _log_state(self, rows: np.ndarray, horizon: str) -> np.ndarray:
         if horizon not in ("infinite", "finite"):
             raise InvalidInputError(f"unknown horizon {horizon!r}")
-        ring_sum = np.take(self._ring, rows, axis=0).sum(axis=1)
-        if horizon == "finite":
-            L = ring_sum
-        elif self.merge_policy == "fuse_to_infinite":
-            L = self._L_inf[rows] + ring_sum
+        if horizon == "infinite" and self.merge_policy == "drop":
+            L = np.take(self._L_inf, rows, axis=0)
         else:
-            L = self._L_inf[rows]
+            L = np.take(self._ring, rows, axis=0).sum(axis=1)
+            if horizon == "infinite":
+                L += np.take(self._L_inf, rows, axis=0)
         return lb.log_normalize(L, axis=-1)
 
     def distributions(self, rows: np.ndarray, horizon: str = "infinite") -> np.ndarray:
@@ -305,22 +304,18 @@ class VoxelMap:
         """
         xyz = np.asarray(xyz, dtype=np.float64)
         n = len(xyz)
-        probs = np.full((n, self.num_classes), 1.0 / self.num_classes)
-        found = np.zeros(n, dtype=bool)
-        if n == 0:
-            return probs, found
-        packed = pack_keys(voxel_keys(xyz, self.voxel_size))
-        unique_packed, inv = np.unique(packed, return_inverse=True)
-        rows = self._lookup_packed(unique_packed)
-        hit = rows >= 0
-        if np.any(hit):
-            dists = self.distributions(rows[hit], horizon)
-            lut = np.full((len(unique_packed), self.num_classes),
-                          1.0 / self.num_classes)
-            lut[hit] = dists
-            probs = lut[inv]
-            found = hit[inv]
-        return probs, found
+        if n:
+            packed = pack_keys(voxel_keys(xyz, self.voxel_size))
+            unique_packed, inv = np.unique(packed, return_inverse=True)
+            rows = self._lookup_packed(unique_packed)
+            hit = rows >= 0
+            if np.any(hit):
+                lut = np.full((len(unique_packed), self.num_classes),
+                              1.0 / self.num_classes)
+                lut[hit] = self.distributions(rows[hit], horizon)
+                return lut[inv], hit[inv]
+        return (np.full((n, self.num_classes), 1.0 / self.num_classes),
+                np.zeros(n, dtype=bool))
 
     def export_cloud(self, horizon: str = "infinite"):
         """One point per voxel at its mean position, deterministic key order."""
@@ -328,15 +323,16 @@ class VoxelMap:
         if self._size == 0:
             return SemanticCloud(np.zeros((0, 3)), np.zeros((0, self.num_classes)),
                                  frame_id="map")
-        rows = self._ordered_rows()
+        _, rows = self.sorted_index()
         probs = self.distributions(rows, horizon)
         mean = self._pos_sum[rows] / self._n_points[rows][:, None]
         return SemanticCloud(mean, probs, frame_id="map")
 
-    def _ordered_rows(self) -> np.ndarray:
-        """Rows in lexicographic (ix, iy, iz) key order; packed order agrees
-        because each axis occupies a fixed bit field."""
-        return self._sorted_rows
+    def sorted_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Packed keys in ascending order and the row of each. Packed order is
+        lexicographic (ix, iy, iz) key order because each axis occupies a
+        fixed bit field. The arrays are the map's own: do not modify them."""
+        return self._sorted_packed, self._sorted_rows
 
     def per_class_voxel_counts(self, horizon: str = "infinite") -> np.ndarray:
         if self._size == 0:
@@ -365,7 +361,7 @@ class VoxelMap:
             f.write(struct.pack("<I", len(blob)))
             f.write(blob)
             if self._size:
-                rows = self._ordered_rows()
+                _, rows = self.sorted_index()
                 L = self._log_state(rows, horizon).astype(np.float32)
                 mean = (self._pos_sum[rows] / self._n_points[rows][:, None]
                         ).astype(np.float32)
@@ -382,6 +378,14 @@ class VoxelMap:
 
     @classmethod
     def load(cls, path) -> "VoxelMap":
+        """Read a snapshot written by `save`.
+
+        A snapshot holds one normalized state per voxel, from the horizon it
+        was saved with. The loaded map keeps it as the only scan of a depth-1
+        ring over an empty infinite state, so both horizons answer with it.
+        New scans integrated afterwards are fused into the infinite horizon
+        on top of it, while the finite horizon becomes the newest scan.
+        """
         with open(path, "rb") as f:
             if f.read(4) != SNAPSHOT_MAGIC:
                 raise InvalidInputError(f"{path}: not a voxel map snapshot")
@@ -389,15 +393,15 @@ class VoxelMap:
             header = json.loads(f.read(hlen).decode())
             vm = cls(voxel_size=header["voxel_size"],
                      num_classes=header["num_classes"],
-                     n_horizon=header["n_horizon"],
-                     merge_policy=header["merge_policy"],
+                     n_horizon=1, merge_policy="fuse_to_infinite",
                      labelset_hash=header.get("labelset_hash", ""))
             rec = np.frombuffer(f.read(), dtype=vm._record_dtype())
         if len(rec) != header["count"]:
             raise InvalidInputError(f"{path}: truncated snapshot")
         vm._grow(len(rec))
         n = rec["n_points"].astype(np.int64)
-        vm._L_inf[: len(rec)] = lb.log_normalize(rec["logp"].astype(np.float64), axis=-1)
+        vm._ring[: len(rec), 0] = lb.log_normalize(rec["logp"].astype(np.float64), axis=-1)
+        vm._n_scans[: len(rec)] = 1
         vm._pos_sum[: len(rec)] = rec["mean"].astype(np.float64) * n[:, None]
         vm._n_points[: len(rec)] = n
         if len(rec):
@@ -407,6 +411,4 @@ class VoxelMap:
             vm._sorted_packed = packed[sort]
             vm._sorted_rows = np.arange(len(rec))[sort]
         vm._size = len(rec)
-        # reloaded states live in the infinite horizon; the ring restarts empty
-        vm.merge_policy = "drop"
         return vm

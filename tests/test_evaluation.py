@@ -223,6 +223,65 @@ def test_map_vs_map_unknown_reference_voxels_skipped(labelset):
     assert np.isnan(res.per_class[2])
 
 
+def iou_map_vs_map_by_key_sets(pred, reference, labelset):
+    """Reference algorithm: Python sets of key tuples, sorted, then one row
+    lookup per set."""
+    acc = ConfusionAccumulator(reference.num_classes)
+    unknown = labelset.unknown_index
+    pred_keys = {tuple(k) for k in pred.keys_array}
+    ref_keys = {tuple(k) for k in reference.keys_array}
+
+    def argmax(vmap, keys):
+        if not keys:
+            return np.zeros(0, dtype=np.int64)
+        rows = vmap.rows_for_keys(np.array(sorted(keys)))
+        return np.argmax(vmap.distributions(rows), axis=-1)
+
+    both = pred_keys & ref_keys
+    p_both, r_both = argmax(pred, both), argmax(reference, both)
+    if unknown is not None:
+        keep = r_both != unknown
+        p_both, r_both = p_both[keep], r_both[keep]
+    acc.add(p_both, r_both)
+    r_only = argmax(reference, ref_keys - pred_keys)
+    if unknown is not None:
+        r_only = r_only[r_only != unknown]
+    acc.fn += np.bincount(r_only, minlength=acc.num_classes)
+    acc.fp += np.bincount(argmax(pred, pred_keys - ref_keys),
+                          minlength=acc.num_classes)
+    return acc.iou()
+
+
+def random_map(rng, C, lo, hi, n_scans=3, n=400):
+    vm = VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=2)
+    for k in range(n_scans):
+        xyz = rng.uniform(lo, hi, size=(n, 3))
+        vm.integrate_scan(SemanticCloud(xyz, rng.dirichlet(np.full(C, 0.3), n)), k)
+    return vm
+
+
+def test_map_vs_map_equals_key_set_algorithm(labelset, rng):
+    """Exact per-class IoU of the key-set algorithm on partially overlapping
+    maps, with an empty map on either side, and with reference voxels of
+    the unknown class."""
+    C = labelset.num_classes
+    pred = random_map(rng, C, -2.0, 3.0)
+    ref = random_map(rng, C, 0.0, 5.0)
+    unknown_ref = VoxelMap(voxel_size=0.5, num_classes=C)
+    xyz = rng.uniform(0.0, 4.0, size=(300, 3))
+    cls = rng.integers(0, C, size=300)
+    cls[:100] = labelset.unknown_index
+    unknown_ref.integrate_scan(SemanticCloud(xyz, np.eye(C)[cls]), 0)
+    empty = VoxelMap(voxel_size=0.5, num_classes=C)
+    cases = [(pred, ref), (ref, pred), (pred, unknown_ref), (pred, empty),
+             (empty, ref), (empty, empty), (pred, pred)]
+    for a, b in cases:
+        np.testing.assert_array_equal(iou_map_vs_map(a, b, labelset).per_class,
+                                      iou_map_vs_map_by_key_sets(a, b, labelset))
+    assert (labelset.unknown_index in
+            np.argmax(unknown_ref.export_cloud().probs, axis=-1))
+
+
 # --- reporting ---------------------------------------------------------------
 
 

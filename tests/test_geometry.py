@@ -273,6 +273,35 @@ def test_render_range_image_nearest_wins():
     assert img.cell_index[8, 32] == 1
 
 
+def test_render_range_image_matches_nearest_point_oracle(rng):
+    """Each cell holds its nearest point, and the highest input index among
+    points at equal range; copies of points make exact range ties."""
+    model = SphericalModel(width=32, height=8, r_max=50.0)
+    dirs = rng.normal(size=(1500, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    pts = dirs * rng.uniform(1.0, 60.0, size=(1500, 1))
+    pts = np.concatenate([pts, pts[rng.integers(0, 1500, 500)]])
+    pts = pts[rng.permutation(len(pts))]
+    img = render_range_image(pts, model)
+
+    u, v, r, valid = project_spherical(pts, model)
+    best = {}
+    for i in np.flatnonzero(valid):
+        cell = (int(v[i]), min(max(int(u[i]), 0), model.width - 1))
+        if cell not in best or r[i] <= r[best[cell]]:
+            best[cell] = i
+    expect = np.full((model.height, model.width), -1)
+    for cell, i in best.items():
+        expect[cell] = i
+    np.testing.assert_array_equal(img.cell_index, expect)
+    hit = expect >= 0
+    np.testing.assert_array_equal(img.range[hit], r[expect[hit]])
+    np.testing.assert_array_equal(img.range[~hit], -1.0)
+    np.testing.assert_array_equal(img.xyz[hit], pts[expect[hit]])
+    ties = sum(np.sum(r[valid] == r[i]) > 1 for i in best.values())
+    assert ties > 0
+
+
 def test_render_range_image_out_of_range_invalid():
     model = SphericalModel(width=64, height=16, r_max=50.0)
     d = spherical_ray_directions(model)[8, 32]

@@ -1,12 +1,18 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semfuse import runner
 from semfuse.fusion import SemanticCloud
 from semfuse.labels import (InvalidInputError, bayes_fuse, log_from_prob,
                             log_normalize, uniform)
+from semfuse.runner import RunConfig
 from semfuse.voxelmap import (VoxelMap, pack_keys, unpack_keys, voxel_keys)
+from tests.conftest import scene_path
 
 
 def cloud(xyz, probs):
@@ -344,6 +350,45 @@ def test_loaded_map_accepts_new_scans(tmp_path):
     q = again.query_voxel((0, 0, 0))
     expect = bayes_fuse(one_hot(0, 3, 0.8), one_hot(0, 3, 0.8))
     np.testing.assert_allclose(q.probs, expect, atol=1e-5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["drop", "fuse_to_infinite"]),
+       st.sampled_from(["infinite", "finite"]),
+       st.integers(1, 4), st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_snapshot_answers_both_horizons_with_saved_state(policy, saved, H,
+                                                         n_scans, seed):
+    """A reloaded map answers finite and infinite queries alike with the
+    state of the horizon it was saved with."""
+    rng = np.random.default_rng(seed)
+    C = 4
+    vm = VoxelMap(voxel_size=1.0, num_classes=C, n_horizon=H, merge_policy=policy)
+    for k in range(n_scans):
+        xyz = rng.uniform(0, 3, size=(30, 3))
+        vm.integrate_scan(cloud(xyz, rng.dirichlet(np.full(C, 0.3), 30)), k)
+    queries = rng.uniform(-1, 4, size=(200, 3))  # some land outside the map
+    expect, expect_found = vm.lookup_points(queries, saved)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "map.svx")
+        vm.save(path, horizon=saved)
+        again = VoxelMap.load(path)
+    for horizon in ("infinite", "finite"):
+        probs, found = again.lookup_points(queries, horizon)
+        np.testing.assert_array_equal(found, expect_found)
+        # the snapshot stores float32 log-probabilities
+        np.testing.assert_allclose(probs, expect, atol=1e-5)
+
+
+def test_pseudolabel_from_finite_horizon_map(tmp_path):
+    """A map saved with the finite horizon still labels cells when the
+    pseudo-label stage reads it back with that horizon."""
+    out = str(tmp_path / "log")
+    runner.generate_log(scene_path("person_wall"), out, seed=0)
+    cfg = RunConfig.load(os.path.join(out, "config.json"),
+                         output_dir=str(tmp_path / "out"), horizon="finite")
+    runner.run_fuse(cfg)
+    runner.run_map(cfg)
+    assert runner.run_pseudolabel(cfg)["labeled_cells"] > 0
 
 
 # --- memory bound -----------------------------------------------------------
