@@ -71,17 +71,13 @@ def fuse(config, output_dir, camera_only, s_factor, alpha_dyn, alpha_stat):
               help="Directory of fused semantic clouds.")
 @click.option("--voxel-size", type=float, default=None)
 @click.option("--n-horizon", type=int, default=None)
-@click.option("--merge-policy", type=click.Choice(["drop", "fuse_to_infinite"]),
-              default=None)
 @click.option("--horizon", type=click.Choice(["infinite", "finite"]), default=None)
 @click.option("--map-out", type=click.Path(), default=None)
-def map_cmd(config, output_dir, clouds, voxel_size, n_horizon, merge_policy,
-            horizon, map_out):
+def map_cmd(config, output_dir, clouds, voxel_size, n_horizon, horizon, map_out):
     """Integrate fused clouds into a semantic voxel map snapshot."""
     try:
         cfg = _config(config, output_dir=output_dir, voxel_size=voxel_size,
-                      n_horizon=n_horizon, merge_policy=merge_policy,
-                      horizon=horizon)
+                      n_horizon=n_horizon, horizon=horizon)
         out = runner.run_map(cfg, clouds_dir=clouds, map_path=map_out)
     except (ParseError, InvalidInputError, ConfigurationError, OSError) as e:
         _fail(e)

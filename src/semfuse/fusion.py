@@ -252,11 +252,15 @@ def warp_previous_frame(prev: SegmentationFrame, T_cur_prev: np.ndarray,
     vi = np.clip(np.round(v[valid]).astype(int), 0, H - 1)
     src = prev.probs[ok][valid]
     depth_new = cur[valid, 2]
-    # nearest surface wins per target pixel
-    order = np.argsort(-depth_new, kind="stable")
-    flat = vi * W + ui
-    warped.reshape(-1, warped.shape[-1])[flat[order]] = src[order]
-    mask.reshape(-1)[flat[order]] = True
+    # nearest surface wins per target pixel, the latest one among equal
+    # depths: sort by depth with ties in descending input order, keep each
+    # pixel's first entry, and scatter once to unique pixels
+    last = len(depth_new) - 1
+    order = last - np.argsort(depth_new[::-1], kind="stable")
+    pixels, first = np.unique((vi * W + ui)[order], return_index=True)
+    win = order[first]
+    warped.reshape(-1, warped.shape[-1])[pixels] = src[win]
+    mask.reshape(-1)[pixels] = True
     return warped, mask
 
 

@@ -130,10 +130,6 @@ class Trajectory:
         return Pose(t, trans, anchor.rotation)
 
 
-def interpolate_pose(traj: Trajectory, t: float) -> Pose:
-    return traj.interpolate(t)
-
-
 @dataclass(frozen=True)
 class CameraModel:
     """Pinhole intrinsics plus the static camera-from-base extrinsic."""

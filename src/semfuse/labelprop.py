@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import (Pose, RangeImage, SphericalModel, apply, invert,
                        render_range_image)
-from .labels import InvalidInputError, LabelSet
+from .labels import GROUND_CLASS_NAMES, InvalidInputError, LabelSet
 from .voxelmap import VoxelMap
 
 UNLABELED = 255
@@ -207,7 +207,7 @@ def ground_plane_correction(img: PseudoLabelImage, labelset: LabelSet,
     if img.xyz is None or img.range is None:
         raise InvalidInputError("pseudo-label image carries no per-cell geometry")
     if ground_classes is None:
-        ground_classes = {labelset.index(n) for n in ("road", "sidewalk", "vegetation")
+        ground_classes = {labelset.index(n) for n in GROUND_CLASS_NAMES
                           if n in labelset.names}
     valid = img.range >= 0
     pts = img.xyz[valid]

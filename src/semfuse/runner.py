@@ -44,7 +44,6 @@ class RunConfig:
     camera_only: bool = False
     voxel_size: float = 0.25
     n_horizon: int = 10
-    merge_policy: str = "drop"
     horizon: str = "infinite"
     threshold: float = 0.80
     window: int = 2
@@ -231,14 +230,15 @@ def run_fuse(cfg: RunConfig) -> dict:
     prev_fused = None
     prev_cam_pose = None
     n_clouds = 0
+    frame_dets = [[d for t, d in dets if abs(t - frame.timestamp) < 1e-9]
+                  for frame in frames]
     for i, frame in enumerate(frames):
-        frame_dets = [d for t, d in dets if abs(t - frame.timestamp) < 1e-9]
         cam_pose = traj.interpolate(frame.timestamp).matrix() @ invert(
             calib.camera.T_cam_base)
         T_cur_prev = invert(cam_pose) @ prev_cam_pose \
             if prev_cam_pose is not None else None
         fused = smooth_and_fuse_image(frame, prev_fused, T_cur_prev,
-                                      calib.camera, frame_dets, alphas)
+                                      calib.camera, frame_dets[i], alphas)
         fileio.save_frame(os.path.join(fused_frames_dir, f"frame_{i:04d}.npz"),
                           fused, labelset_hash=ls_hash)
         prev_fused, prev_cam_pose = fused, cam_pose
@@ -250,9 +250,7 @@ def run_fuse(cfg: RunConfig) -> dict:
         j = int(np.argmin(np.abs(frame_times - t))) if len(frames) else -1
         views = []
         if j >= 0:
-            frame = frames[j]
-            frame_dets = [d for td, d in dets if abs(td - frame.timestamp) < 1e-9]
-            views.append(CameraView(calib.camera, frame, frame_dets))
+            views.append(CameraView(calib.camera, frames[j], frame_dets[j]))
         lidar_probs = None if cfg.camera_only else scan.get("lidar_probs")
         cloud = fuse_cloud(scan["xyz"], t, lidar_probs, views, traj,
                            calib.T_base_lidar, calib.lidar_model,
@@ -279,8 +277,7 @@ def run_map(cfg: RunConfig, clouds_dir: str | None = None,
     ls_hash = labelset.config_hash()
     clouds_dir = clouds_dir or os.path.join(cfg.output_dir, "clouds")
     vmap = VoxelMap(voxel_size=cfg.voxel_size, num_classes=labelset.num_classes,
-                    n_horizon=cfg.n_horizon, merge_policy=cfg.merge_policy,
-                    labelset_hash=ls_hash)
+                    n_horizon=cfg.n_horizon, labelset_hash=ls_hash)
     entries = []
     for path in fileio.list_sorted(clouds_dir, ".npz"):
         cloud, h = fileio.load_semantic_cloud(path)

@@ -17,7 +17,6 @@ import numpy as np
 from . import labels as lb
 from .labels import InvalidInputError
 
-MERGE_POLICIES = ("drop", "fuse_to_infinite")
 SNAPSHOT_MAGIC = b"SFVX"
 
 # voxel indices are packed into one int64 (21 bits per axis) so hashing and
@@ -67,17 +66,12 @@ class VoxelMap:
 
     Storage is columnar (one row per voxel) so scan integration and queries
     stay vectorized; the key index is a sorted packed-int64 array queried by
-    binary search. `merge_policy` controls what happens to per-scan states
-    evicted from the finite-horizon ring:
-
-    - "drop": evicted scans vanish; the infinite-horizon state accumulates
-      every scan at integration time.
-    - "fuse_to_infinite": the infinite-horizon state holds only evicted
-      scans; infinite queries fold the ring back in.
-
-    Either way an infinite-horizon query equals Bayesian fusion of all scans
-    that ever touched the voxel. The accumulated log state is kept
-    unnormalized internally; every query normalizes via log-sum-exp.
+    binary search. The infinite-horizon state accumulates every scan at
+    integration time, so an infinite-horizon query equals Bayesian fusion of
+    all scans that ever touched the voxel; the ring holds the last
+    `n_horizon` per-scan states for finite-horizon queries, and older scans
+    leave it. The accumulated log state is kept unnormalized internally;
+    every query normalizes via log-sum-exp.
     """
 
     # the per-voxel arrays; row i of each describes one voxel
@@ -85,18 +79,15 @@ class VoxelMap:
                   "_n_scans", "_last_update")
 
     def __init__(self, voxel_size: float = 0.25, num_classes: int = 15,
-                 n_horizon: int = 10, merge_policy: str = "drop",
-                 labelset_hash: str = "", max_voxels: int | None = None):
+                 n_horizon: int = 10, labelset_hash: str = "",
+                 max_voxels: int | None = None):
         if voxel_size <= 0:
             raise InvalidInputError("voxel_size must be positive")
-        if merge_policy not in MERGE_POLICIES:
-            raise InvalidInputError(f"merge_policy must be one of {MERGE_POLICIES}")
         if n_horizon < 1:
             raise InvalidInputError("n_horizon must be >= 1")
         self.voxel_size = float(voxel_size)
         self.num_classes = int(num_classes)
         self.n_horizon = int(n_horizon)
-        self.merge_policy = merge_policy
         self.labelset_hash = labelset_hash
         self.max_voxels = max_voxels
         self.last_scan_id: int | None = None
@@ -175,14 +166,19 @@ class VoxelMap:
 
         All of a scan's points falling in one voxel are first merged into a
         single per-scan log state (sum of clamped logs, renormalized), which
-        is then pushed onto the voxel's ring buffer.
+        is then pushed onto the voxel's ring buffer. A rejected scan leaves
+        the map as it was.
         """
         if self.last_scan_id is not None and scan_id <= self.last_scan_id:
             raise InvalidInputError(
                 f"scan_id {scan_id} not increasing (last {self.last_scan_id})")
-        self.last_scan_id = scan_id
         xyz = np.asarray(cloud.xyz, dtype=np.float64)
         probs = np.asarray(cloud.probs, dtype=np.float64)
+        for name, values in (("xyz", xyz), ("probs", probs)):
+            if not np.isfinite(values).all():
+                raise InvalidInputError(
+                    f"scan {scan_id}: cloud {name} has non-finite entries")
+        self.last_scan_id = scan_id
         n = len(xyz)
         if n == 0:
             return
@@ -234,22 +230,14 @@ class VoxelMap:
         self._n_points[rows] += counts
         self._last_update[rows] = scan_id
 
+        L = np.take(self._L_inf, rows, axis=0)
+        L += scan_L
+        self._L_inf[rows] = L
         H = self.n_horizon
-        ring = self._ring.reshape(-1, self.num_classes)
         n_scans = np.take(self._n_scans, rows)
         slot = rows * H
         slot += n_scans % H
-        if self.merge_policy == "fuse_to_infinite":
-            # the infinite state takes the oldest scan of a full ring, which
-            # this scan overwrites
-            full = np.flatnonzero(n_scans >= H)
-            to_inf, add = rows[full], np.take(ring, slot[full], axis=0)
-        else:
-            to_inf, add = rows, scan_L
-        L = np.take(self._L_inf, to_inf, axis=0)
-        L += add
-        self._L_inf[to_inf] = L
-        ring[slot] = scan_L
+        self._ring.reshape(-1, self.num_classes)[slot] = scan_L
         n_scans += 1
         self._n_scans[rows] = n_scans
 
@@ -274,12 +262,10 @@ class VoxelMap:
     def _log_state(self, rows: np.ndarray, horizon: str) -> np.ndarray:
         if horizon not in ("infinite", "finite"):
             raise InvalidInputError(f"unknown horizon {horizon!r}")
-        if horizon == "infinite" and self.merge_policy == "drop":
+        if horizon == "infinite":
             L = np.take(self._L_inf, rows, axis=0)
         else:
             L = np.take(self._ring, rows, axis=0).sum(axis=1)
-            if horizon == "infinite":
-                L += np.take(self._L_inf, rows, axis=0)
         return lb.log_normalize(L, axis=-1)
 
     def distributions(self, rows: np.ndarray, horizon: str = "infinite") -> np.ndarray:
@@ -350,7 +336,6 @@ class VoxelMap:
             "voxel_size": self.voxel_size,
             "num_classes": self.num_classes,
             "n_horizon": self.n_horizon,
-            "merge_policy": self.merge_policy,
             "labelset_hash": self.labelset_hash,
             "horizon": horizon,
             "count": int(self._size),
@@ -381,10 +366,11 @@ class VoxelMap:
         """Read a snapshot written by `save`.
 
         A snapshot holds one normalized state per voxel, from the horizon it
-        was saved with. The loaded map keeps it as the only scan of a depth-1
-        ring over an empty infinite state, so both horizons answer with it.
-        New scans integrated afterwards are fused into the infinite horizon
-        on top of it, while the finite horizon becomes the newest scan.
+        was saved with. The loaded map has a depth-1 ring and holds that state
+        both as its infinite state and as each voxel's one ring scan, so both
+        horizons answer with it. New scans integrated afterwards are fused
+        into the infinite horizon on top of it, while the finite horizon
+        becomes the newest scan.
         """
         with open(path, "rb") as f:
             if f.read(4) != SNAPSHOT_MAGIC:
@@ -393,14 +379,14 @@ class VoxelMap:
             header = json.loads(f.read(hlen).decode())
             vm = cls(voxel_size=header["voxel_size"],
                      num_classes=header["num_classes"],
-                     n_horizon=1, merge_policy="fuse_to_infinite",
-                     labelset_hash=header.get("labelset_hash", ""))
+                     n_horizon=1, labelset_hash=header.get("labelset_hash", ""))
             rec = np.frombuffer(f.read(), dtype=vm._record_dtype())
         if len(rec) != header["count"]:
             raise InvalidInputError(f"{path}: truncated snapshot")
         vm._grow(len(rec))
         n = rec["n_points"].astype(np.int64)
-        vm._ring[: len(rec), 0] = lb.log_normalize(rec["logp"].astype(np.float64), axis=-1)
+        vm._L_inf[: len(rec)] = lb.log_normalize(rec["logp"].astype(np.float64), axis=-1)
+        vm._ring[: len(rec), 0] = vm._L_inf[: len(rec)]
         vm._n_scans[: len(rec)] = 1
         vm._pos_sum[: len(rec)] = rec["mean"].astype(np.float64) * n[:, None]
         vm._n_points[: len(rec)] = n

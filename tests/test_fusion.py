@@ -8,7 +8,8 @@ from semfuse.fusion import (ALPHA_DYNAMIC, ALPHA_STATIC, CameraView, Detection,
                             cluster_bbox_points, cluster_tolerance,
                             detection_distribution, fuse_cloud,
                             smooth_and_fuse_image, warp_previous_frame)
-from semfuse.geometry import CameraModel, Pose, SphericalModel, Trajectory
+from semfuse.geometry import (CameraModel, Pose, SphericalModel, Trajectory,
+                              project_pinhole)
 from semfuse.labels import InvalidInputError, LabelSet, uniform
 
 IDENTITY_Q = np.array([1.0, 0, 0, 0])
@@ -335,6 +336,44 @@ def test_warp_identity_recovers_previous():
     warped, mask = warp_previous_frame(prev, np.eye(4), cam)
     assert mask.all()
     np.testing.assert_allclose(warped, probs, atol=1e-12)
+
+
+def test_warp_previous_frame_matches_nearest_point_oracle(rng):
+    """Each target pixel takes the nearest warped source pixel, and the
+    highest input index among equal depths; moving the camera back shrinks
+    the image, so many sources land on one pixel at exactly equal depth."""
+    C, H, W = 4, 16, 24
+    cam = simple_cam(w=W, h=H, f=20.0)
+    depth = rng.choice([2.0, 4.0, np.nan], size=(H, W), p=[0.45, 0.45, 0.1])
+    probs = rng.dirichlet(np.ones(C), size=(H, W))
+    T = np.eye(4)
+    T[:3, 3] = [0.3, -0.2, 2.0]
+    warped, mask = warp_previous_frame(frame_of(probs, depth=depth), T, cam)
+
+    hits = {}  # target pixel -> [(depth, source pixel)], in input order
+    for v, u in np.ndindex(H, W):  # row-major, the input order
+        z = depth[v, u]
+        if not np.isfinite(z):
+            continue
+        p = np.array([(u - cam.cx) / cam.fx * z, (v - cam.cy) / cam.fy * z, z])
+        cur = p @ T[:3, :3].T + T[:3, 3]
+        tu, tv, ok = project_pinhole(cur[None], cam)
+        if ok[0]:
+            target = (min(max(int(np.round(tv[0])), 0), H - 1),
+                      min(max(int(np.round(tu[0])), 0), W - 1))
+            hits.setdefault(target, []).append((cur[2], (v, u)))
+    expect_mask = np.zeros((H, W), dtype=bool)
+    expect = np.zeros_like(probs)
+    ties = 0
+    for target, found in hits.items():
+        nearest = min(d for d, _ in found)
+        at_nearest = [source for d, source in found if d == nearest]
+        ties += len(at_nearest) > 1
+        expect_mask[target] = True
+        expect[target] = probs[at_nearest[-1]]
+    np.testing.assert_array_equal(mask, expect_mask)
+    np.testing.assert_array_equal(warped, expect)
+    assert ties > 0
 
 
 def test_class_alphas_defaults():

@@ -1,4 +1,6 @@
+import json
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -71,8 +73,6 @@ def test_rejects_bad_params():
     with pytest.raises(InvalidInputError):
         VoxelMap(voxel_size=0.0)
     with pytest.raises(InvalidInputError):
-        VoxelMap(merge_policy="average")
-    with pytest.raises(InvalidInputError):
         VoxelMap(n_horizon=0)
 
 
@@ -81,6 +81,32 @@ def test_scan_id_must_increase():
     vm.integrate_scan(cloud([[0, 0, 0]], [one_hot(0, 3)]), 5)
     with pytest.raises(InvalidInputError):
         vm.integrate_scan(cloud([[0, 0, 0]], [one_hot(0, 3)]), 5)
+
+
+@pytest.mark.parametrize("name, row, col, value", [
+    ("probs", 1, 0, np.nan),
+    ("xyz", 1, 2, np.nan),
+    ("xyz", 0, 0, np.inf),
+])
+def test_non_finite_scan_is_rejected_and_leaves_map_unchanged(name, row, col,
+                                                              value, rng):
+    C = 3
+    vm = VoxelMap(voxel_size=1.0, num_classes=C)
+    vm.integrate_scan(cloud(rng.uniform(0, 3, (20, 3)),
+                            rng.dirichlet(np.ones(C), 20)), 0)
+    before = vm.export_cloud()
+    scan = {"xyz": rng.uniform(0, 5, (10, 3)), "probs": rng.dirichlet(np.ones(C), 10)}
+    bad = {k: v.copy() for k, v in scan.items()}
+    bad[name][row, col] = value
+    with pytest.raises(InvalidInputError, match=name):
+        vm.integrate_scan(cloud(bad["xyz"], bad["probs"]), 1)
+    assert len(vm) == len(before.xyz)
+    assert vm.last_scan_id == 0
+    after = vm.export_cloud()
+    np.testing.assert_array_equal(after.xyz, before.xyz)
+    np.testing.assert_array_equal(after.probs, before.probs)
+    vm.integrate_scan(cloud(scan["xyz"], scan["probs"]), 1)
+    assert vm.last_scan_id == 1
 
 
 def test_contains_and_len():
@@ -107,10 +133,10 @@ def test_same_scan_points_merge_by_product():
 
 
 def test_finite_horizon_drops_old_scans():
-    """With n_horizon=2 and policy 'drop', the finite state fuses only the
-    last two scans while the infinite state fuses all three."""
+    """With n_horizon=2 the finite state fuses only the last two scans while
+    the infinite state fuses all three."""
     C = 4
-    vm = VoxelMap(num_classes=C, n_horizon=2, merge_policy="drop")
+    vm = VoxelMap(num_classes=C, n_horizon=2)
     ps = [one_hot(0, C, 0.7), one_hot(1, C, 0.7), one_hot(2, C, 0.7)]
     for k, p in enumerate(ps):
         vm.integrate_scan(cloud([[0.1, 0.1, 0.1]], [p]), k)
@@ -120,10 +146,9 @@ def test_finite_horizon_drops_old_scans():
     np.testing.assert_allclose(inf, longdouble_fuse(ps), atol=1e-9)
 
 
-@pytest.mark.parametrize("policy", ["drop", "fuse_to_infinite"])
-def test_both_policies_match_longdouble_oracle(policy, rng):
+def test_matches_longdouble_oracle(rng):
     C, n_scans = 5, 25
-    vm = VoxelMap(num_classes=C, n_horizon=4, merge_policy=policy)
+    vm = VoxelMap(num_classes=C, n_horizon=4)
     history = []
     for k in range(n_scans):
         p = rng.dirichlet(np.ones(C) * 0.5)
@@ -133,19 +158,6 @@ def test_both_policies_match_longdouble_oracle(policy, rng):
     np.testing.assert_allclose(inf, longdouble_fuse(history), atol=1e-9)
     fin = vm.query_voxel((0, 0, 0), horizon="finite").probs
     np.testing.assert_allclose(fin, longdouble_fuse(history[-4:]), atol=1e-9)
-
-
-def test_policies_agree_on_infinite_horizon(rng):
-    C = 4
-    vms = {p: VoxelMap(num_classes=C, n_horizon=3, merge_policy=p)
-           for p in ("drop", "fuse_to_infinite")}
-    for k in range(12):
-        p = rng.dirichlet(np.ones(C))
-        for vm in vms.values():
-            vm.integrate_scan(cloud([[0.1, 0.1, 0.1]], [p]), k)
-    a = vms["drop"].query_voxel((0, 0, 0)).probs
-    b = vms["fuse_to_infinite"].query_voxel((0, 0, 0)).probs
-    np.testing.assert_allclose(a, b, atol=1e-9)
 
 
 def reference_scan_states(xyz, probs, voxel_size):
@@ -171,13 +183,12 @@ def reference_scan_states(xyz, probs, voxel_size):
     return sp[starts], states, pos
 
 
-@pytest.mark.parametrize("policy", ["drop", "fuse_to_infinite"])
-def test_shared_voxels_sum_in_input_order_exactly(policy, rng):
+def test_shared_voxels_sum_in_input_order_exactly(rng):
     """With many points per voxel in scrambled order, finite and infinite
     distributions and mean positions equal, bit for bit, those built from
     per-scan states that add each voxel's points in input order."""
     C, H, size = 5, 3, 1.0
-    vm = VoxelMap(voxel_size=size, num_classes=C, n_horizon=H, merge_policy=policy)
+    vm = VoxelMap(voxel_size=size, num_classes=C, n_horizon=H)
     history = {}  # packed key -> [(state, position sum), ...], oldest first
     for k in range(7):
         xyz = rng.uniform(0, 3, size=(400, 3))  # 27 voxels, ~15 points each
@@ -195,14 +206,9 @@ def test_shared_voxels_sum_in_input_order_exactly(policy, rng):
             ring[j % H] = state
         ring_sum = sum(ring[1:], ring[0])
         total, pos = np.zeros(C), np.zeros(3)
-        # "drop" adds every scan to the infinite state as it arrives;
-        # "fuse_to_infinite" adds the scans its ring evicted, then the ring
-        kept = scans if policy == "drop" else scans[:-H]
-        for state, _ in kept:
+        # the infinite state adds every scan as it arrives
+        for state, p in scans:
             total = total + state
-        if policy == "fuse_to_infinite":
-            total = ring_sum + total
-        for _, p in scans:
             pos = pos + p
         finite.append(ring_sum)
         infinite.append(total)
@@ -352,17 +358,46 @@ def test_loaded_map_accepts_new_scans(tmp_path):
     np.testing.assert_allclose(q.probs, expect, atol=1e-5)
 
 
+def test_snapshot_header_naming_a_policy_still_loads(tmp_path, rng):
+    """Older snapshots name a merge policy in their header; it is ignored, so
+    they answer both horizons like the same snapshot without the field."""
+    vm = VoxelMap(voxel_size=1.0, num_classes=4, n_horizon=2)
+    for k in range(3):
+        vm.integrate_scan(cloud(rng.uniform(0, 3, (30, 3)),
+                                rng.dirichlet(np.ones(4), 30)), k)
+    path, old_path = tmp_path / "map.svx", tmp_path / "old.svx"
+    vm.save(path)
+    data = path.read_bytes()
+    (hlen,) = struct.unpack("<I", data[4:8])
+    header = json.loads(data[8: 8 + hlen])
+    assert "merge_policy" not in header
+    blob = json.dumps({**header, "merge_policy": "fuse_to_infinite"}).encode()
+    old_path.write_bytes(data[:4] + struct.pack("<I", len(blob)) + blob
+                         + data[8 + hlen:])
+    queries = rng.uniform(-1, 4, size=(100, 3))
+
+    def answers(m):
+        return [a for h in ("infinite", "finite") for a in m.lookup_points(queries, h)]
+
+    new, old = VoxelMap.load(path), VoxelMap.load(old_path)
+    for a, b in zip(answers(new), answers(old)):
+        np.testing.assert_array_equal(a, b)
+    scan = cloud(rng.uniform(0, 3, (30, 3)), rng.dirichlet(np.ones(4), 30))
+    new.integrate_scan(scan, 3)
+    old.integrate_scan(scan, 3)
+    for a, b in zip(answers(new), answers(old)):
+        np.testing.assert_array_equal(a, b)
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["drop", "fuse_to_infinite"]),
-       st.sampled_from(["infinite", "finite"]),
+@given(st.sampled_from(["infinite", "finite"]),
        st.integers(1, 4), st.integers(1, 7), st.integers(0, 2**32 - 1))
-def test_snapshot_answers_both_horizons_with_saved_state(policy, saved, H,
-                                                         n_scans, seed):
+def test_snapshot_answers_both_horizons_with_saved_state(saved, H, n_scans, seed):
     """A reloaded map answers finite and infinite queries alike with the
     state of the horizon it was saved with."""
     rng = np.random.default_rng(seed)
     C = 4
-    vm = VoxelMap(voxel_size=1.0, num_classes=C, n_horizon=H, merge_policy=policy)
+    vm = VoxelMap(voxel_size=1.0, num_classes=C, n_horizon=H)
     for k in range(n_scans):
         xyz = rng.uniform(0, 3, size=(30, 3))
         vm.integrate_scan(cloud(xyz, rng.dirichlet(np.full(C, 0.3), 30)), k)
