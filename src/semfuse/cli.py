@@ -70,7 +70,9 @@ def fuse(config, output_dir, camera_only, s_factor, alpha_dyn, alpha_stat):
 @click.option("--clouds", type=click.Path(exists=True), default=None,
               help="Directory of fused semantic clouds.")
 @click.option("--voxel-size", type=float, default=None)
-@click.option("--n-horizon", type=int, default=None)
+@click.option("--n-horizon", type=int, default=None,
+              help="Scans a finite-horizon map keeps (default 10); "
+                   "applies with --horizon finite.")
 @click.option("--horizon", type=click.Choice(["infinite", "finite"]), default=None)
 @click.option("--map-out", type=click.Path(), default=None)
 def map_cmd(config, output_dir, clouds, voxel_size, n_horizon, horizon, map_out):

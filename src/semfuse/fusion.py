@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from . import labels as lb
@@ -136,21 +138,12 @@ def cluster_bbox_points(xyz: np.ndarray, depths: np.ndarray,
     seed = int(np.argsort(depths, kind="stable")[k])
     d_seed = float(depths[seed])
     tau = cluster_tolerance(max(d_seed, 1e-9), model, s)
-    member = np.zeros(n, dtype=bool)
-    member[seed] = True
-    if n == 1:
-        return member, d_seed, tau
-    tree = cKDTree(xyz)
-    frontier = [seed]
-    while frontier:
-        neighbors = tree.query_ball_point(xyz[frontier], tau)
-        nxt = set()
-        for nb in neighbors:
-            nxt.update(nb)
-        fresh = [i for i in nxt if not member[i]]
-        member[list(fresh)] = True
-        frontier = fresh
-    return member, d_seed, tau
+    # points within tau are linked; the cluster is the seed's component
+    pairs = cKDTree(xyz).query_pairs(tau, output_type="ndarray")
+    links = coo_matrix((np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])),
+                       shape=(n, n))
+    _, component = connected_components(links, directed=False)
+    return component == component[seed], d_seed, tau
 
 
 def _sorted_detections(dets: list[Detection]) -> list[Detection]:

@@ -276,8 +276,10 @@ def run_map(cfg: RunConfig, clouds_dir: str | None = None,
     labelset = cfg.load_labelset()
     ls_hash = labelset.config_hash()
     clouds_dir = clouds_dir or os.path.join(cfg.output_dir, "clouds")
+    # only a finite-horizon map pays for the ring of recent scans
+    n_horizon = cfg.n_horizon if cfg.horizon == "finite" else None
     vmap = VoxelMap(voxel_size=cfg.voxel_size, num_classes=labelset.num_classes,
-                    n_horizon=cfg.n_horizon, labelset_hash=ls_hash)
+                    n_horizon=n_horizon, labelset_hash=ls_hash)
     entries = []
     for path in fileio.list_sorted(clouds_dir, ".npz"):
         cloud, h = fileio.load_semantic_cloud(path)

@@ -2,8 +2,10 @@
 
 Voxels accumulate per-scan log class states; probability-space products of
 many near-one-hot distributions underflow, so all fusion happens in log space
-with factorized log-sum-exp normalization. A per-voxel ring buffer keeps the
-last n per-scan states for finite-horizon queries.
+with factorized log-sum-exp normalization. A map built with `n_horizon`
+also keeps a per-voxel ring buffer of the last n per-scan states for
+finite-horizon queries; a map built without it has no ring and answers only
+infinite-horizon queries.
 """
 
 from __future__ import annotations
@@ -30,11 +32,25 @@ def voxel_keys(xyz: np.ndarray, voxel_size: float) -> np.ndarray:
     """Integer voxel index per point, floor division (not truncation) so
     negative coordinates bin consistently."""
     scaled = np.asarray(xyz, dtype=np.float64) / voxel_size
-    return np.floor(scaled, out=scaled).astype(np.int64)
+    return _int_keys(np.floor(scaled, out=scaled))
+
+
+def _int_keys(index: np.ndarray) -> np.ndarray:
+    """Cast float voxel indices to int64. A NaN or inf coordinate has no
+    voxel (the cast would warn and wrap), so it is rejected by name."""
+    bad = ~np.isfinite(index)
+    if bad.any():
+        at = tuple(np.argwhere(bad)[0])
+        raise InvalidInputError(
+            f"non-finite coordinate xyz{list(map(int, at))} = {index[at]}")
+    return index.astype(np.int64)
 
 
 def pack_keys(keys: np.ndarray) -> np.ndarray:
-    flat = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
+    flat = np.asarray(keys).reshape(-1, 3)
+    if flat.dtype.kind == "f":
+        flat = _int_keys(flat)
+    flat = flat.astype(np.int64, copy=False)
     if flat.size and (flat.min() < -_KEY_OFFSET or flat.max() > _KEY_MASK - _KEY_OFFSET):
         raise InvalidInputError("voxel index exceeds the 21-bit packing range")
     # offset fields are non-negative and disjoint, so shift-and-add packs them
@@ -68,26 +84,29 @@ class VoxelMap:
     stay vectorized; the key index is a sorted packed-int64 array queried by
     binary search. The infinite-horizon state accumulates every scan at
     integration time, so an infinite-horizon query equals Bayesian fusion of
-    all scans that ever touched the voxel; the ring holds the last
-    `n_horizon` per-scan states for finite-horizon queries, and older scans
-    leave it. The accumulated log state is kept unnormalized internally;
-    every query normalizes via log-sum-exp.
+    all scans that ever touched the voxel. Only a map built with `n_horizon`
+    answers finite-horizon queries: its ring holds the last `n_horizon`
+    per-scan states, and older scans leave it. The default map keeps no ring
+    (it would cost 8 * n_horizon * num_classes bytes per voxel and a write
+    per scan), and a finite-horizon query on it raises InvalidInputError.
+    The accumulated log state is kept unnormalized internally; every query
+    normalizes via log-sum-exp.
     """
 
-    # the per-voxel arrays; row i of each describes one voxel
-    _PER_VOXEL = ("_row_packed", "_L_inf", "_pos_sum", "_n_points", "_ring",
-                  "_n_scans", "_last_update")
+    # the per-voxel arrays; row i of each describes one voxel. A map with a
+    # finite horizon adds its ring arrays to its own copy of this tuple.
+    _PER_VOXEL = ("_row_packed", "_L_inf", "_pos_sum", "_n_points", "_last_update")
 
     def __init__(self, voxel_size: float = 0.25, num_classes: int = 15,
-                 n_horizon: int = 10, labelset_hash: str = "",
+                 n_horizon: int | None = None, labelset_hash: str = "",
                  max_voxels: int | None = None):
         if voxel_size <= 0:
             raise InvalidInputError("voxel_size must be positive")
-        if n_horizon < 1:
+        if n_horizon is not None and n_horizon < 1:
             raise InvalidInputError("n_horizon must be >= 1")
         self.voxel_size = float(voxel_size)
         self.num_classes = int(num_classes)
-        self.n_horizon = int(n_horizon)
+        self.n_horizon = None if n_horizon is None else int(n_horizon)
         self.labelset_hash = labelset_hash
         self.max_voxels = max_voxels
         self.last_scan_id: int | None = None
@@ -102,12 +121,15 @@ class VoxelMap:
         self._L_inf = np.zeros((cap, C))
         self._pos_sum = np.zeros((cap, 3))
         self._n_points = np.zeros(cap, dtype=np.int64)
-        # ring is (voxel, horizon, class), so a voxel's slots are contiguous;
-        # a voxel's k-th scan goes to slot k % H, and slots it has not yet
-        # filled hold zeros, so summing all H slots sums the scans it holds
-        self._ring = np.zeros((cap, H, C))
-        self._n_scans = np.zeros(cap, dtype=np.int64)
         self._last_update = np.zeros(cap, dtype=np.int64)
+        if H is not None:
+            # ring is (voxel, horizon, class), so a voxel's slots are
+            # contiguous; a voxel's k-th scan goes to slot k % H, and slots it
+            # has not yet filled hold zeros, so summing all H slots sums the
+            # scans it holds
+            self._ring = np.zeros((cap, H, C))
+            self._n_scans = np.zeros(cap, dtype=np.int64)
+            self._PER_VOXEL = self._PER_VOXEL + ("_ring", "_n_scans")
         self._size = 0
 
     def __len__(self) -> int:
@@ -166,23 +188,24 @@ class VoxelMap:
 
         All of a scan's points falling in one voxel are first merged into a
         single per-scan log state (sum of clamped logs, renormalized), which
-        is then pushed onto the voxel's ring buffer. A rejected scan leaves
-        the map as it was.
+        is added to the voxel's infinite-horizon state and, with a finite
+        horizon, pushed onto its ring buffer. A rejected scan leaves the map
+        as it was.
         """
         if self.last_scan_id is not None and scan_id <= self.last_scan_id:
             raise InvalidInputError(
                 f"scan_id {scan_id} not increasing (last {self.last_scan_id})")
         xyz = np.asarray(cloud.xyz, dtype=np.float64)
         probs = np.asarray(cloud.probs, dtype=np.float64)
-        for name, values in (("xyz", xyz), ("probs", probs)):
-            if not np.isfinite(values).all():
-                raise InvalidInputError(
-                    f"scan {scan_id}: cloud {name} has non-finite entries")
+        if not np.isfinite(probs).all():
+            raise InvalidInputError(
+                f"scan {scan_id}: cloud probs has non-finite entries")
+        # rejects non-finite or out-of-range coordinates
+        packed = pack_keys(voxel_keys(xyz, self.voxel_size))
         self.last_scan_id = scan_id
         n = len(xyz)
         if n == 0:
             return
-        packed = pack_keys(voxel_keys(xyz, self.voxel_size))
         # group co-voxel points by sorting the packed keys
         order = np.argsort(packed)
         sp = np.take(packed, order)
@@ -209,10 +232,16 @@ class VoxelMap:
         extra = ~boundary[shared]
         idx, into = shared_order[extra], group[extra]
 
+        C = self.num_classes
         scan_L = np.take(probs, first, axis=0)
         np.maximum(scan_L, lb.EPS_FLOOR, out=scan_L)
         np.log(scan_L, out=scan_L)
-        np.add.at(scan_L, into, lb.log_from_prob(np.take(probs, idx, axis=0)))
+        # one 1-D np.add.at over flat element indices: numpy's fast path, and
+        # ufunc.at applies updates in index order, so each element still adds
+        # its points in input order
+        flat = into[:, None] * C + np.arange(C)
+        np.add.at(scan_L.reshape(-1), flat.reshape(-1),
+                  lb.log_from_prob(np.take(probs, idx, axis=0)).reshape(-1))
         # a lone point's clamped log of a unit-sum row is already normalized
         # up to float rounding
         several = np.flatnonzero(counts > 1)
@@ -234,12 +263,13 @@ class VoxelMap:
         L += scan_L
         self._L_inf[rows] = L
         H = self.n_horizon
-        n_scans = np.take(self._n_scans, rows)
-        slot = rows * H
-        slot += n_scans % H
-        self._ring.reshape(-1, self.num_classes)[slot] = scan_L
-        n_scans += 1
-        self._n_scans[rows] = n_scans
+        if H is not None:
+            n_scans = np.take(self._n_scans, rows)
+            slot = rows * H
+            slot += n_scans % H
+            self._ring.reshape(-1, C)[slot] = scan_L
+            n_scans += 1
+            self._n_scans[rows] = n_scans
 
         if self.max_voxels is not None and self._size > self.max_voxels:
             self._evict_to_cap()
@@ -259,9 +289,16 @@ class VoxelMap:
         self._sorted_packed = kept_packed[sort]
         self._sorted_rows = np.arange(self._size)[sort]
 
-    def _log_state(self, rows: np.ndarray, horizon: str) -> np.ndarray:
+    def _check_horizon(self, horizon: str) -> None:
         if horizon not in ("infinite", "finite"):
             raise InvalidInputError(f"unknown horizon {horizon!r}")
+        if horizon == "finite" and self.n_horizon is None:
+            raise InvalidInputError(
+                "finite-horizon query on a map built without n_horizon; "
+                "pass n_horizon to VoxelMap to keep the last scans")
+
+    def _log_state(self, rows: np.ndarray, horizon: str) -> np.ndarray:
+        self._check_horizon(horizon)
         if horizon == "infinite":
             L = np.take(self._L_inf, rows, axis=0)
         else:
@@ -273,6 +310,7 @@ class VoxelMap:
         return p / p.sum(axis=-1, keepdims=True)
 
     def query_voxel(self, key, horizon: str = "infinite") -> VoxelQuery | None:
+        self._check_horizon(horizon)
         row = self.rows_for_keys(np.atleast_2d(np.asarray(key)))[0]
         if row < 0:
             return None
@@ -288,6 +326,7 @@ class VoxelMap:
 
         Unobserved voxels yield found=False and a uniform placeholder row.
         """
+        self._check_horizon(horizon)
         xyz = np.asarray(xyz, dtype=np.float64)
         n = len(xyz)
         if n:
@@ -306,6 +345,7 @@ class VoxelMap:
     def export_cloud(self, horizon: str = "infinite"):
         """One point per voxel at its mean position, deterministic key order."""
         from .fusion import SemanticCloud
+        self._check_horizon(horizon)
         if self._size == 0:
             return SemanticCloud(np.zeros((0, 3)), np.zeros((0, self.num_classes)),
                                  frame_id="map")
@@ -321,6 +361,7 @@ class VoxelMap:
         return self._sorted_packed, self._sorted_rows
 
     def per_class_voxel_counts(self, horizon: str = "infinite") -> np.ndarray:
+        self._check_horizon(horizon)
         if self._size == 0:
             return np.zeros(self.num_classes, dtype=np.int64)
         rows = np.arange(self._size)
@@ -332,6 +373,9 @@ class VoxelMap:
     # log-probabilities) ---
 
     def save(self, path, horizon: str = "infinite") -> None:
+        """Write one normalized state per voxel, from `horizon`. The header's
+        `n_horizon` is null for a map built without one; `load` ignores it."""
+        self._check_horizon(horizon)
         header = {
             "voxel_size": self.voxel_size,
             "num_classes": self.num_classes,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from semfuse.fusion import (ALPHA_DYNAMIC, ALPHA_STATIC, CameraView, Detection,
                             SegmentationFrame, SemanticCloud, class_alphas,
@@ -153,6 +154,66 @@ def test_cluster_seed_is_nearest_rank_quantile():
     xyz = np.stack([depths, np.arange(4) * 100.0, np.zeros(4)], axis=1)
     _, d_seed, _ = cluster_bbox_points(xyz, depths, model)
     assert d_seed == 1.0
+
+
+def bfs_cluster_oracle(xyz, depths, model):
+    """Seed selection plus breadth-first growth over radius queries."""
+    n = len(xyz)
+    k = max(int(np.ceil(0.25 * n)) - 1, 0)
+    seed = int(np.argsort(depths, kind="stable")[k])
+    d_seed = float(depths[seed])
+    tau = cluster_tolerance(max(d_seed, 1e-9), model)
+    member = np.zeros(n, dtype=bool)
+    member[seed] = True
+    tree = cKDTree(xyz)
+    frontier = [seed]
+    while frontier:
+        nxt = set()
+        for nb in tree.query_ball_point(xyz[frontier], tau):
+            nxt.update(nb)
+        frontier = [i for i in nxt if not member[i]]
+        member[frontier] = True
+    return member, d_seed, tau
+
+
+def cluster_case(kind, rng, model):
+    """(xyz, depths) of one oracle case."""
+    if kind == "single":
+        return np.array([[3.0, 0.5, -0.2]]), np.array([3.0])
+    if kind == "duplicates":
+        xyz = np.repeat(rng.normal([6, 0, 0], 0.05, size=(8, 3)), 3, axis=0)
+        return xyz, xyz[:, 0]
+    if kind == "chain":
+        # every link sits one or a few rounding steps below, at or above tau
+        n = 40
+        depths = np.full(n, 5.0)
+        tau = cluster_tolerance(5.0, model)
+        gaps = rng.choice([np.nextafter(tau, 0.0), tau, np.nextafter(tau, 1.0),
+                           tau * (1 - 1e-15), tau * (1 + 1e-15)], n - 1)
+        dirs = rng.normal(size=(n - 1, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        steps = gaps[:, None] * dirs
+        xyz = np.concatenate([[[5.0, 0, 0]], [5.0, 0, 0] + np.cumsum(steps, axis=0)])
+        return xyz, depths
+    # blobs at several depths, some touching, so growth stops part-way
+    centers = rng.uniform([2, -1, -1], [20, 1, 1], size=(rng.integers(1, 5), 3))
+    xyz = np.concatenate([rng.normal(c, rng.uniform(0.02, 0.3),
+                                     size=(rng.integers(1, 60), 3))
+                          for c in centers])
+    return xyz, xyz[:, 0] + rng.normal(0, 0.1, len(xyz))
+
+
+@pytest.mark.parametrize("kind", ["single", "duplicates", "chain", "blobs"])
+@pytest.mark.parametrize("seed", range(6))
+def test_cluster_matches_breadth_first_oracle(kind, seed):
+    """Connected components over linked pairs keep exactly the points the
+    breadth-first growth from the seed reaches, at the same seed and tau."""
+    model = SphericalModel(width=1024, height=128)
+    xyz, depths = cluster_case(kind, np.random.default_rng(seed), model)
+    member, d_seed, tau = cluster_bbox_points(xyz, depths, model)
+    want, want_d, want_tau = bfs_cluster_oracle(xyz, depths, model)
+    np.testing.assert_array_equal(member, want)
+    assert (d_seed, tau) == (want_d, want_tau)
 
 
 # --- fuse_cloud -------------------------------------------------------------

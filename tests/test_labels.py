@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp as scipy_logsumexp
@@ -102,9 +102,24 @@ def test_bayes_fuse_associative(a, b, c):
     np.testing.assert_allclose(left, right, atol=1e-9)
 
 
+def normalized(v):
+    v = np.array(v)
+    return v / v.sum()
+
+
+# the top two entries one rounding step apart round to a tie
+@example(normalized([0.25, np.nextafter(1.0, 0.0), 1.0] + [0.5] * 12))
 @given(distributions(15))
 def test_bayes_fuse_uniform_preserves_argmax(p):
-    assert argmax_class(bayes_fuse(uniform(15), p)) == argmax_class(p)
+    """Rounding is monotone, so fusion with a uniform prior never inverts two
+    classes, but it can round the top two to a tie, which moves the argmax to
+    the lower index. The argmax stays within a few rounding steps of the
+    maximum, and is exact when the top two are further apart."""
+    k = argmax_class(bayes_fuse(uniform(15), p))
+    near = p.max() * (1 - 4 * np.finfo(np.float64).eps)
+    assert p[k] >= near
+    if np.sort(p)[-2] < near:
+        assert k == argmax_class(p)
 
 
 def test_bayes_fuse_broadcasts_over_batches():

@@ -2,6 +2,7 @@ import json
 import os
 import struct
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,46 @@ def test_rejects_bad_params():
         VoxelMap(n_horizon=0)
 
 
+def test_default_map_keeps_no_ring():
+    vm = VoxelMap(num_classes=3)
+    assert vm.n_horizon is None
+    assert not hasattr(vm, "_ring") and not hasattr(vm, "_n_scans")
+    # growth and eviction run on the ring-less columns alike
+    vm = VoxelMap(voxel_size=1.0, num_classes=3, max_voxels=1500)
+    for k in range(3):
+        vm.integrate_scan(cloud(np.c_[np.arange(1000.0) + 1000 * k,
+                                      np.zeros((1000, 2))],
+                                np.tile(one_hot(k, 3), (1000, 1))), k)
+    assert len(vm) == 1500 and not hasattr(vm, "_ring")
+    assert vm.query_voxel((2500, 0, 0)).probs.argmax() == 2
+
+
+@pytest.mark.parametrize("empty", [False, True])
+def test_finite_query_on_default_map_raises(tmp_path, empty):
+    vm = VoxelMap(voxel_size=1.0, num_classes=3)
+    if not empty:
+        vm.integrate_scan(cloud([[0.5, 0.5, 0.5]], [one_hot(1, 3)]), 0)
+    path = tmp_path / "map.svx"
+    calls = [lambda: vm.query_voxel((0, 0, 0), "finite"),
+             lambda: vm.lookup_points(np.array([[0.5, 0.5, 0.5]]), "finite"),
+             lambda: vm.export_cloud("finite"),
+             lambda: vm.save(path, horizon="finite"),
+             lambda: vm.per_class_voxel_counts("finite")]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="without n_horizon"):
+            call()
+    assert not path.exists()
+    # the infinite horizon answers, and its snapshot answers both horizons
+    vm.save(path)
+    data = path.read_bytes()
+    (hlen,) = struct.unpack("<I", data[4:8])
+    assert json.loads(data[8: 8 + hlen])["n_horizon"] is None
+    loaded = VoxelMap.load(path)
+    for horizon in ("infinite", "finite"):
+        np.testing.assert_array_equal(loaded.export_cloud(horizon).probs,
+                                      loaded.export_cloud().probs)
+
+
 def test_scan_id_must_increase():
     vm = VoxelMap(num_classes=3)
     vm.integrate_scan(cloud([[0, 0, 0]], [one_hot(0, 3)]), 5)
@@ -107,6 +148,16 @@ def test_non_finite_scan_is_rejected_and_leaves_map_unchanged(name, row, col,
     np.testing.assert_array_equal(after.probs, before.probs)
     vm.integrate_scan(cloud(scan["xyz"], scan["probs"]), 1)
     assert vm.last_scan_id == 1
+
+
+def test_out_of_range_scan_is_rejected_before_scan_id_moves():
+    vm = VoxelMap(voxel_size=1.0, num_classes=3)
+    with pytest.raises(InvalidInputError, match="21-bit"):
+        vm.integrate_scan(cloud([[0.5, 0, 0], [2.0 ** 21, 0, 0]],
+                                [one_hot(0, 3)] * 2), 0)
+    assert vm.last_scan_id is None and len(vm) == 0
+    vm.integrate_scan(cloud([[0.5, 0, 0]], [one_hot(0, 3)]), 0)
+    assert vm.last_scan_id == 0 and len(vm) == 1
 
 
 def test_contains_and_len():
@@ -268,6 +319,23 @@ def test_lookup_points_hits_and_misses():
     assert found.tolist() == [True, False]
     np.testing.assert_allclose(probs[0], one_hot(2, 4), atol=1e-9)
     np.testing.assert_allclose(probs[1], uniform(4), atol=1e-12)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_is_rejected_by_name(value):
+    vm = VoxelMap(voxel_size=1.0, num_classes=3)
+    vm.integrate_scan(cloud([[0.5, 0.5, 0.5]], [one_hot(0, 3)]), 0)
+    point = np.array([[0.5, 0.5, 0.5], [0.5, value, 0.5]])
+    key = (0, value, 0)
+    calls = [lambda: vm.lookup_points(point),
+             lambda: vm.rows_for_keys(np.array([key])),
+             lambda: vm.query_voxel(key),
+             lambda: key in vm]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="non-finite coordinate"):
+                call()
 
 
 def test_lookup_points_empty():
@@ -452,7 +520,7 @@ def test_max_voxels_keeps_queries_consistent(rng):
 def test_voxel_allocated_after_eviction_starts_empty():
     """A new voxel reuses an evicted voxel's row without inheriting its
     points, position or class evidence."""
-    vm = VoxelMap(voxel_size=1.0, num_classes=3, max_voxels=1)
+    vm = VoxelMap(voxel_size=1.0, num_classes=3, n_horizon=2, max_voxels=1)
     vm.integrate_scan(cloud([[0.5, 0.5, 0.5]], [one_hot(0, 3)]), 0)
     vm.integrate_scan(cloud([[5.5, 0.5, 0.5]], [one_hot(1, 3)]), 1)
     vm.integrate_scan(cloud([[0.5, 0.5, 0.5]], [one_hot(2, 3)]), 2)
