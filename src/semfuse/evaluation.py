@@ -104,20 +104,28 @@ def accumulate_scan_vs_map(acc: ConfusionAccumulator, cloud, reference: VoxelMap
     Points outside the frustum (when given) or in never-observed reference
     voxels are excluded; unknown-class reference voxels are skipped.
     """
+    _accumulate(acc, cloud, reference, labelset, restrict, reference.voxel_classes)
+
+
+def _accumulate(acc: ConfusionAccumulator, cloud, reference: VoxelMap,
+                labelset: LabelSet, restrict: CameraFrustum | None,
+                classes_of) -> None:
+    """`accumulate_scan_vs_map`, with `classes_of(rows)` giving the
+    reference class of each row in `rows`."""
     _check_labelset(cloud.probs.shape[-1], reference.num_classes)
     _check_labelset(acc.num_classes, reference.num_classes)
     xyz = np.asarray(cloud.xyz, dtype=np.float64)
-    pred = np.argmax(cloud.probs, axis=-1)
-    keep = np.ones(len(xyz), dtype=bool)
+    rows = reference.rows_for_points(xyz)
+    keep = rows >= 0
     if restrict is not None:
         keep &= restrict.contains(xyz)
-    ref_probs, found = reference.lookup_points(xyz)
-    keep &= found
-    ref = np.argmax(ref_probs, axis=-1)
+    pred = np.argmax(cloud.probs[keep], axis=-1)
+    ref = classes_of(rows[keep])
     unknown = labelset.unknown_index
     if unknown is not None:
-        keep &= ref != unknown
-    acc.add(pred[keep], ref[keep])
+        known = ref != unknown
+        pred, ref = pred[known], ref[known]
+    acc.add(pred, ref)
 
 
 def iou_scan_vs_map(clouds, reference: VoxelMap, labelset: LabelSet,
@@ -125,8 +133,10 @@ def iou_scan_vs_map(clouds, reference: VoxelMap, labelset: LabelSet,
     if not isinstance(clouds, (list, tuple)):
         clouds = [clouds]
     acc = ConfusionAccumulator(reference.num_classes)
+    # every reference voxel classified once for all clouds
+    ref_cls = reference.voxel_classes()
     for cloud in clouds:
-        accumulate_scan_vs_map(acc, cloud, reference, labelset, restrict)
+        _accumulate(acc, cloud, reference, labelset, restrict, ref_cls.take)
     return IoUResult(acc.iou(), labelset, restricted_fov=restrict is not None)
 
 
@@ -145,10 +155,8 @@ def iou_map_vs_map(pred: VoxelMap, reference: VoxelMap,
     # in_pred[i] and in_ref[i] index the same voxel in the two key arrays
     _, in_pred, in_ref = np.intersect1d(pred_keys, ref_keys, assume_unique=True,
                                         return_indices=True)
-    # argmax of the distributions, not of the log states: near-ties can
-    # resolve differently after exp
-    p_cls = np.argmax(pred.distributions(pred_rows), axis=-1)
-    r_cls = np.argmax(reference.distributions(ref_rows), axis=-1)
+    p_cls = pred.voxel_classes()[pred_rows]
+    r_cls = reference.voxel_classes()[ref_rows]
 
     p_both, r_both = p_cls[in_pred], r_cls[in_ref]
     if unknown is not None:

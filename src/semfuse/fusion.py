@@ -16,7 +16,7 @@ from scipy.spatial import cKDTree
 
 from . import labels as lb
 from .geometry import (CameraModel, SphericalModel, Trajectory, lidar_to_camera,
-                       project_pinhole, sample_bilinear)
+                       nearest_per_cell, project_pinhole, sample_bilinear)
 from .labels import InvalidInputError
 
 ALPHA_DYNAMIC = 0.80
@@ -245,13 +245,8 @@ def warp_previous_frame(prev: SegmentationFrame, T_cur_prev: np.ndarray,
     vi = np.clip(np.round(v[valid]).astype(int), 0, H - 1)
     src = prev.probs[ok][valid]
     depth_new = cur[valid, 2]
-    # nearest surface wins per target pixel, the latest one among equal
-    # depths: sort by depth with ties in descending input order, keep each
-    # pixel's first entry, and scatter once to unique pixels
-    last = len(depth_new) - 1
-    order = last - np.argsort(depth_new[::-1], kind="stable")
-    pixels, first = np.unique((vi * W + ui)[order], return_index=True)
-    win = order[first]
+    # nearest surface wins per target pixel, the latest one among equal depths
+    pixels, win = nearest_per_cell(vi * W + ui, depth_new, H * W)
     warped.reshape(-1, warped.shape[-1])[pixels] = src[win]
     mask.reshape(-1)[pixels] = True
     return warped, mask

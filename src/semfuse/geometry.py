@@ -314,6 +314,25 @@ class RangeImage:
         return cls(model, np.full((H, W), -1.0), np.zeros((H, W, 3)))
 
 
+def nearest_per_cell(cell: np.ndarray, depth: np.ndarray, n_cells: int):
+    """Z-buffer: the nearest entry of each occupied cell, the one with the
+    highest index among equal depths.
+
+    `cell` holds each entry's flat cell index in [0, n_cells). Returns
+    (cells, winner): the occupied cells in ascending order and the index
+    into `cell`/`depth` of each one's winner. No sort: one pass takes each
+    cell's minimum depth and a second the highest index at that minimum,
+    and neither depends on the order in which numpy applies the updates.
+    """
+    nearest = np.full(n_cells, np.inf)
+    np.minimum.at(nearest, cell, depth)
+    at_min = np.flatnonzero(depth == nearest[cell])
+    winner = np.full(n_cells, -1, dtype=np.intp)
+    np.maximum.at(winner, cell[at_min], at_min)
+    cells = np.flatnonzero(winner >= 0)
+    return cells, winner[cells]
+
+
 def render_range_image(points: np.ndarray, model: SphericalModel) -> RangeImage:
     """Z-buffer the points (sensor frame) into a spherical range image; the
     nearest point per cell wins. cell_index records the winning row of
@@ -329,13 +348,8 @@ def render_range_image(points: np.ndarray, model: SphericalModel) -> RangeImage:
         return img
     ui = np.clip(u[idx].astype(int), 0, W - 1)
     vi = v[idx].astype(int)
-    flat = vi * W + ui
     r = r[idx]
-    # sort by cell, then range, then input index descending, so each cell's
-    # first entry is its nearest point, the latest one among equal ranges
-    order = np.lexsort((-idx, r, flat))
-    cells, first = np.unique(flat[order], return_index=True)
-    win = order[first]
+    cells, win = nearest_per_cell(vi * W + ui, r, H * W)
     img.range.reshape(-1)[cells] = r[win]
     img.cell_index.reshape(-1)[cells] = idx[win]
     img.xyz.reshape(-1, 3)[cells] = points[idx[win]]

@@ -80,23 +80,23 @@ class PseudoLabelImage:
         return float(mask.mean())
 
 
-def _image_from_render(img: RangeImage, probs: np.ndarray, threshold: float,
-                       provenance: str, viewpoint: Pose, scan_id: int
-                       ) -> PseudoLabelImage:
+def _image_from_render(img: RangeImage, cls: np.ndarray, conf: np.ndarray,
+                       threshold: float, provenance: str, viewpoint: Pose,
+                       scan_id: int) -> PseudoLabelImage:
+    """Label each cell with the class and confidence of its winning source
+    point; `cls` and `conf` are indexed by `img.cell_index`."""
     H, W = img.model.height, img.model.width
     classes = np.full((H, W), UNLABELED, dtype=np.uint8)
-    conf = np.zeros((H, W))
+    confidence = np.zeros((H, W))
     hit = img.cell_index >= 0
     if np.any(hit):
         src = img.cell_index[hit]
-        p = probs[src]
-        conf[hit] = p.max(axis=-1)
-        cls = p.argmax(axis=-1).astype(np.uint8)
-        keep = conf[hit] >= threshold
+        confidence[hit] = conf[src]
+        keep = confidence[hit] >= threshold
         flat = np.nonzero(hit.reshape(-1))[0][keep]
-        classes.reshape(-1)[flat] = cls[keep]
-    conf[classes == UNLABELED] = 0.0
-    return PseudoLabelImage(classes, conf, provenance, viewpoint, img.model,
+        classes.reshape(-1)[flat] = cls[src[keep]]
+    confidence[classes == UNLABELED] = 0.0
+    return PseudoLabelImage(classes, confidence, provenance, viewpoint, img.model,
                             scan_id=scan_id, threshold=threshold,
                             xyz=img.xyz, range=img.range)
 
@@ -111,8 +111,8 @@ def generate_pseudolabels(vmap: VoxelMap, scans: list[ScanRecord],
 
     Static-class voxels are rendered from the full map (mean positions);
     dynamic-class points come from the raw scans inside the window, labeled
-    by their voxel's distribution. Cells whose winning distribution peaks
-    below `threshold` stay unlabeled.
+    by their voxel's class. Cells whose winning distribution peaks below
+    `threshold` stay unlabeled.
     """
     if provenance not in PROVENANCES:
         raise InvalidInputError(f"unknown provenance {provenance!r}")
@@ -122,42 +122,39 @@ def generate_pseudolabels(vmap: VoxelMap, scans: list[ScanRecord],
 
     if len(vmap) == 0:
         warnings.warn("empty map: pseudo-labels are all unlabeled", stacklevel=2)
-        out = []
-        for scan in scans:
-            empty = render_range_image(np.zeros((0, 3)), model)
-            out.append(_image_from_render(empty, np.zeros((0, labelset.num_classes)),
-                                          threshold, provenance, scan.pose,
-                                          scan.scan_id))
-        return out
 
     map_cloud = vmap.export_cloud(horizon)
     map_cls = np.argmax(map_cloud.probs, axis=-1)
+    map_conf = np.max(map_cloud.probs, axis=-1)
     static_sel = ~dynamic[map_cls]
-    static_xyz = map_cloud.xyz[static_sel]
-    static_probs = map_cloud.probs[static_sel]
+    static = (map_cloud.xyz[static_sel], map_cls[static_sel], map_conf[static_sel])
+    # export_cloud lists voxels in sorted-key order; the scans' points look
+    # their voxels up by row, so put the same classes in row order
+    _, export_rows = vmap.sorted_index()
+    row_cls = np.empty_like(map_cls)
+    row_cls[export_rows] = map_cls
+    row_conf = np.empty_like(map_conf)
+    row_conf[export_rows] = map_conf
 
     # per-scan dynamic-class points, labeled by their voxel
-    dyn_by_scan: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    dyn_by_scan: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for scan in scans:
         w = scan.world_xyz()
-        probs, found = vmap.lookup_points(w, horizon)
-        sel = found & dynamic[np.argmax(probs, axis=-1)]
-        dyn_by_scan[scan.scan_id] = (w[sel], probs[sel])
+        rows = vmap.rows_for_points(w)
+        hit = np.flatnonzero(rows >= 0)
+        rows = rows[hit]
+        sel = dynamic[row_cls[rows]]
+        rows = rows[sel]
+        dyn_by_scan[scan.scan_id] = (w[hit[sel]], row_cls[rows], row_conf[rows])
 
     out = []
     for scan in scans:
-        parts_xyz = [static_xyz]
-        parts_p = [static_probs]
-        for other in scans:
-            if abs(other.scan_id - scan.scan_id) <= policy.window:
-                x, p = dyn_by_scan[other.scan_id]
-                parts_xyz.append(x)
-                parts_p.append(p)
-        world = np.concatenate(parts_xyz)
-        probs = np.concatenate(parts_p)
+        parts = [static] + [dyn_by_scan[other.scan_id] for other in scans
+                            if abs(other.scan_id - scan.scan_id) <= policy.window]
+        world, cls, conf = (np.concatenate(p) for p in zip(*parts))
         local = apply(invert(scan.pose.matrix()), world) if len(world) else world
         img = render_range_image(local, model)
-        out.append(_image_from_render(img, probs, threshold, provenance,
+        out.append(_image_from_render(img, cls, conf, threshold, provenance,
                                       scan.pose, scan.scan_id))
     return out
 
@@ -168,8 +165,9 @@ def single_overlay_pseudolabels(cloud, pose: Pose, model: SphericalModel,
     """Pseudo-labels from one scan's own camera overlay (sensor-frame
     semantic cloud), without map aggregation."""
     img = render_range_image(np.asarray(cloud.xyz, dtype=np.float64), model)
-    return _image_from_render(img, np.asarray(cloud.probs), threshold,
-                              "single_overlay", pose, scan_id)
+    probs = np.asarray(cloud.probs)
+    return _image_from_render(img, np.argmax(probs, axis=-1), np.max(probs, axis=-1),
+                              threshold, "single_overlay", pose, scan_id)
 
 
 def _fit_plane_ransac(points: np.ndarray, rng: np.random.Generator):

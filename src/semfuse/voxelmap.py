@@ -32,17 +32,23 @@ def voxel_keys(xyz: np.ndarray, voxel_size: float) -> np.ndarray:
     """Integer voxel index per point, floor division (not truncation) so
     negative coordinates bin consistently."""
     scaled = np.asarray(xyz, dtype=np.float64) / voxel_size
-    return _int_keys(np.floor(scaled, out=scaled))
+    return _int_keys(np.floor(scaled, out=scaled), integral=True)
 
 
-def _int_keys(index: np.ndarray) -> np.ndarray:
+def _int_keys(index: np.ndarray, integral: bool = False) -> np.ndarray:
     """Cast float voxel indices to int64. A NaN or inf coordinate has no
-    voxel (the cast would warn and wrap), so it is rejected by name."""
+    voxel (the cast would warn and wrap), and a fractional key names none
+    (the cast would truncate toward zero, where `voxel_keys` floors), so
+    both are rejected by name. `integral` skips the fraction check for
+    values already floored."""
     bad = ~np.isfinite(index)
+    what = "non-finite coordinate xyz"
+    if not integral and not bad.any():
+        bad = index != np.floor(index)
+        what = "non-integral voxel key"
     if bad.any():
         at = tuple(np.argwhere(bad)[0])
-        raise InvalidInputError(
-            f"non-finite coordinate xyz{list(map(int, at))} = {index[at]}")
+        raise InvalidInputError(f"{what}{list(map(int, at))} = {index[at]}")
     return index.astype(np.int64)
 
 
@@ -306,8 +312,11 @@ class VoxelMap:
         return lb.log_normalize(L, axis=-1)
 
     def distributions(self, rows: np.ndarray, horizon: str = "infinite") -> np.ndarray:
-        p = np.exp(self._log_state(rows, horizon))
-        return p / p.sum(axis=-1, keepdims=True)
+        # in place: no (V, C) copy beyond the one the log state allocates
+        p = self._log_state(rows, horizon)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        return p
 
     def query_voxel(self, key, horizon: str = "infinite") -> VoxelQuery | None:
         self._check_horizon(horizon)
@@ -321,26 +330,36 @@ class VoxelMap:
             n_points=int(self._n_points[row]),
         )
 
+    def rows_for_points(self, xyz: np.ndarray) -> np.ndarray:
+        """Row of the voxel holding each (N, 3) point; -1 where the voxel is
+        unobserved. Index per-row views such as `voxel_classes` with it."""
+        return self._lookup_packed(pack_keys(voxel_keys(xyz, self.voxel_size)))
+
+    def voxel_classes(self, rows: np.ndarray | None = None,
+                      horizon: str = "infinite") -> np.ndarray:
+        """Class of each row in `rows` (default: every row, in row order):
+        the argmax of the voxel's distribution, not of its log state, since
+        near-ties can resolve differently after exp. Computed afresh on each
+        call; a caller that reads it repeatedly keeps the result."""
+        if rows is None:
+            rows = np.arange(self._size)
+        return np.argmax(self.distributions(rows, horizon), axis=-1)
+
     def lookup_points(self, xyz: np.ndarray, horizon: str = "infinite"):
         """Per-point voxel distribution; returns (probs (N, C), found (N,)).
 
         Unobserved voxels yield found=False and a uniform placeholder row.
+        Callers that need only each point's class read `rows_for_points`
+        and `voxel_classes` instead of gathering (N, C) rows.
         """
         self._check_horizon(horizon)
-        xyz = np.asarray(xyz, dtype=np.float64)
-        n = len(xyz)
-        if n:
-            packed = pack_keys(voxel_keys(xyz, self.voxel_size))
-            unique_packed, inv = np.unique(packed, return_inverse=True)
-            rows = self._lookup_packed(unique_packed)
-            hit = rows >= 0
-            if np.any(hit):
-                lut = np.full((len(unique_packed), self.num_classes),
-                              1.0 / self.num_classes)
-                lut[hit] = self.distributions(rows[hit], horizon)
-                return lut[inv], hit[inv]
-        return (np.full((n, self.num_classes), 1.0 / self.num_classes),
-                np.zeros(n, dtype=bool))
+        rows = self.rows_for_points(xyz)
+        found = rows >= 0
+        probs = np.full((len(rows), self.num_classes), 1.0 / self.num_classes)
+        # normalize each hit voxel once, however many points share it
+        hit_rows, inv = np.unique(rows[found], return_inverse=True)
+        probs[found] = self.distributions(hit_rows, horizon)[inv]
+        return probs, found
 
     def export_cloud(self, horizon: str = "infinite"):
         """One point per voxel at its mean position, deterministic key order."""
@@ -361,12 +380,9 @@ class VoxelMap:
         return self._sorted_packed, self._sorted_rows
 
     def per_class_voxel_counts(self, horizon: str = "infinite") -> np.ndarray:
-        self._check_horizon(horizon)
-        if self._size == 0:
-            return np.zeros(self.num_classes, dtype=np.int64)
-        rows = np.arange(self._size)
-        cls = np.argmax(self._log_state(rows, horizon), axis=-1)
-        return np.bincount(cls, minlength=self.num_classes)
+        """Voxels per class, by the `voxel_classes` rule."""
+        return np.bincount(self.voxel_classes(horizon=horizon),
+                           minlength=self.num_classes)
 
     # --- snapshot format: one JSON header line, then fixed-size little-endian
     # records (int32 ix iy iz, float32 mean xyz, uint32 n_points, C float32

@@ -156,6 +156,54 @@ def test_accumulate_over_multiple_clouds():
     np.testing.assert_array_equal(acc.tp, [2, 2, 2])
 
 
+def accumulate_by_lookup(acc, cloud, reference, labelset, restrict=None):
+    """Reference: each point gathers its reference voxel's (N, C)
+    distribution through `lookup_points` and takes its argmax."""
+    xyz = np.asarray(cloud.xyz, dtype=np.float64)
+    pred = np.argmax(cloud.probs, axis=-1)
+    keep = np.ones(len(xyz), dtype=bool)
+    if restrict is not None:
+        keep &= restrict.contains(xyz)
+    ref_probs, found = reference.lookup_points(xyz)
+    keep &= found
+    ref = np.argmax(ref_probs, axis=-1)
+    if labelset.unknown_index is not None:
+        keep &= ref != labelset.unknown_index
+    acc.add(pred[keep], ref[keep])
+
+
+def test_scan_vs_map_matches_lookup_oracle(labelset, rng):
+    """Equal TP/FP/FN and IoU vectors as the (N, C) lookup form, over
+    several clouds with points that miss the reference, unknown-class
+    reference voxels, an empty cloud, an empty reference, and a frustum."""
+    C = labelset.num_classes
+    ref = VoxelMap(voxel_size=0.5, num_classes=C)
+    for k in range(3):
+        xyz = rng.uniform(0, 6, (500, 3))
+        cls = rng.integers(0, C, 500)
+        cls[:60] = labelset.unknown_index
+        ref.integrate_scan(SemanticCloud(xyz, rng.dirichlet(np.full(C, 0.3), 500)
+                                         + 3 * np.eye(C)[cls]), k)
+    clouds = [SemanticCloud(rng.uniform(-2, 8, (n, 3)),
+                            rng.dirichlet(np.full(C, 0.3), n)) for n in (700, 0, 300)]
+    cam = CameraModel(fx=100, fy=100, cx=50, cy=50, width=100, height=100)
+    frustum = CameraFrustum(cam, Pose(0.0, np.array([3.0, 3.0, -4.0]), IDENTITY_Q))
+    empty = VoxelMap(voxel_size=0.5, num_classes=C)
+    for reference in (ref, empty):
+        for restrict in (None, frustum):
+            acc, expect = ConfusionAccumulator(C), ConfusionAccumulator(C)
+            for cloud in clouds:
+                accumulate_scan_vs_map(acc, cloud, reference, labelset, restrict)
+                accumulate_by_lookup(expect, cloud, reference, labelset, restrict)
+            np.testing.assert_array_equal(acc.tp, expect.tp)
+            np.testing.assert_array_equal(acc.fp, expect.fp)
+            np.testing.assert_array_equal(acc.fn, expect.fn)
+            res = iou_scan_vs_map(clouds, reference, labelset, restrict)
+            np.testing.assert_array_equal(res.per_class, expect.iou())
+            if reference is ref:
+                assert 0 < expect.tp.sum() < expect.fp.sum()
+
+
 # --- map vs map --------------------------------------------------------------
 
 

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from semfuse.geometry import (CameraModel, OutOfRangeError, Pose, RangeImage,
                               SphericalModel, Trajectory, apply, invert,
-                              lidar_to_camera, project_pinhole,
-                              project_spherical, render_range_image,
-                              render_virtual_scan, sample_bilinear,
+                              lidar_to_camera, nearest_per_cell,
+                              project_pinhole, project_spherical,
+                              render_range_image, render_virtual_scan,
+                              sample_bilinear,
                               spherical_ray_directions, unproject_spherical)
 from semfuse.labels import InvalidInputError
 
@@ -300,6 +301,25 @@ def test_render_range_image_matches_nearest_point_oracle(rng):
     np.testing.assert_array_equal(img.xyz[hit], pts[expect[hit]])
     ties = sum(np.sum(r[valid] == r[i]) > 1 for i in best.values())
     assert ties > 0
+
+
+def test_nearest_per_cell_equal_depths_pick_highest_index():
+    cells, winner = nearest_per_cell(np.full(7, 5), np.full(7, 2.5), 9)
+    assert cells.tolist() == [5] and winner.tolist() == [6]
+
+
+def test_nearest_per_cell_matches_loop_oracle(rng):
+    cell = rng.integers(0, 40, 2000)
+    depth = rng.integers(1, 6, 2000).astype(float)
+    cells, winner = nearest_per_cell(cell, depth, 50)
+    best = {}
+    for i, (c, d) in enumerate(zip(cell, depth)):
+        if c not in best or d <= depth[best[c]]:
+            best[c] = i
+    assert cells.tolist() == sorted(best)
+    assert winner.tolist() == [best[c] for c in sorted(best)]
+    empty = nearest_per_cell(np.zeros(0, dtype=np.int64), np.zeros(0), 4)
+    assert [len(a) for a in empty] == [0, 0]
 
 
 def test_render_range_image_out_of_range_invalid():

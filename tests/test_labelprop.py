@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from semfuse.fusion import SemanticCloud
-from semfuse.geometry import (Pose, SphericalModel, render_range_image)
+from semfuse.geometry import (Pose, SphericalModel, apply, invert,
+                              render_range_image)
 from semfuse.labelprop import (UNLABELED, PseudoLabelImage, ScanRecord,
                                ScanWindowPolicy, export_training_pair,
                                generate_pseudolabels, ground_plane_correction,
@@ -154,6 +157,93 @@ def test_labels_agree_with_map_argmax(labelset):
     out = generate_pseudolabels(vm, scans, labelset, model, threshold=0.0)
     for img in out:
         assert set(np.unique(img.classes[img.labeled])) <= {building, person}
+
+
+def pseudolabels_by_lookup(vmap, scans, labelset, model, window, threshold,
+                           horizon):
+    """Reference: `generate_pseudolabels` with every scan point gathering its
+    voxel's (N, C) distribution through `lookup_points`, and each cell
+    taking the argmax and max of its winning point's row."""
+    dynamic = np.zeros(labelset.num_classes, dtype=bool)
+    dynamic[list(labelset.dynamic_indices)] = True
+    map_cloud = vmap.export_cloud(horizon)
+    static = ~dynamic[np.argmax(map_cloud.probs, axis=-1)]
+    dyn = {}
+    for scan in scans:
+        w = scan.world_xyz()
+        probs, found = vmap.lookup_points(w, horizon)
+        sel = found & dynamic[np.argmax(probs, axis=-1)]
+        dyn[scan.scan_id] = (w[sel], probs[sel])
+    out = []
+    for scan in scans:
+        parts = [(map_cloud.xyz[static], map_cloud.probs[static])]
+        parts += [dyn[o.scan_id] for o in scans
+                  if abs(o.scan_id - scan.scan_id) <= window]
+        world = np.concatenate([x for x, _ in parts])
+        probs = np.concatenate([p for _, p in parts])
+        img = render_range_image(apply(invert(scan.pose.matrix()), world), model)
+        classes = np.full(img.range.shape, UNLABELED, dtype=np.uint8)
+        conf = np.zeros(img.range.shape)
+        hit = img.cell_index >= 0
+        p = probs[img.cell_index[hit]]
+        conf[hit] = p.max(axis=-1)
+        keep = conf[hit] >= threshold
+        classes.reshape(-1)[np.flatnonzero(hit)[keep]] = p.argmax(axis=-1)[keep]
+        conf[classes == UNLABELED] = 0.0
+        out.append((classes, conf, img.xyz, img.range))
+    return out
+
+
+def test_pseudolabels_match_lookup_oracle(labelset):
+    """Equal classes, confidence, xyz and range as the (N, C) lookup form,
+    on a map with dynamic classes, over window sizes, thresholds 0/0.8/1
+    (one-hot voxels seen in several scans reach confidence 1) and both
+    horizons; every scan also holds points that miss the map. An empty map
+    gives the oracle's all-unlabeled images."""
+    rng = np.random.default_rng(3)
+    C = labelset.num_classes
+    model = SphericalModel(width=64, height=16)
+    base = rng.uniform([-8, -8, -2], [8, 8, 2], size=(400, 3))
+    base_p = rng.dirichlet(np.full(C, 0.2), size=400)
+    base_p[::2] = np.eye(C)[rng.integers(0, C, 200)]
+    vm = VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=2)
+    scans = []
+    for k in range(6):
+        mover = rng.uniform([-6, -6, -1], [6, 6, 1], size=(40, 3))
+        mover_p = rng.dirichlet(np.full(C, 0.2), size=40)
+        mover_p[:, list(labelset.dynamic_indices)] += 2.0
+        mover_p /= mover_p.sum(axis=1, keepdims=True)
+        world = np.concatenate([base, mover])
+        vm.integrate_scan(SemanticCloud(world, np.concatenate([base_p, mover_p])), k)
+        pose = pose_at(t=float(k), xyz=(0.3 * k, -0.2 * k, 0.1))
+        miss = rng.uniform([20, 20, -1], [25, 25, 1], size=(15, 3))
+        seen = np.concatenate([world, miss])[rng.permutation(455)]
+        scans.append(ScanRecord(apply(invert(pose.matrix()), seen), pose, k))
+    empty = VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=2)
+    labeled = {}
+    for vmap in (vm, empty):
+        for horizon in ("infinite", "finite"):
+            for window in (0, 1, 2, 5):
+                for threshold in (0.0, 0.8, 1.0):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore" if vmap is empty else "error")
+                        got = generate_pseudolabels(
+                            vmap, scans, labelset, model,
+                            policy=ScanWindowPolicy(window),
+                            threshold=threshold, horizon=horizon)
+                    expect = pseudolabels_by_lookup(vmap, scans, labelset, model,
+                                                    window, threshold, horizon)
+                    for img, (classes, conf, xyz, rng_img) in zip(got, expect):
+                        np.testing.assert_array_equal(img.classes, classes)
+                        np.testing.assert_array_equal(img.confidence, conf)
+                        np.testing.assert_array_equal(img.xyz, xyz)
+                        np.testing.assert_array_equal(img.range, rng_img)
+                    if vmap is vm:
+                        labeled[horizon, window, threshold] = [
+                            np.isin(img.classes, labelset.dynamic_indices).sum()
+                            for img in got]
+    assert all(n > 0 for n in labeled["infinite", 2, 1.0])
+    assert sum(labeled["finite", 0, 0.0]) < sum(labeled["finite", 5, 0.0])
 
 
 # --- ground-plane correction ------------------------------------------------

@@ -338,6 +338,83 @@ def test_non_finite_query_is_rejected_by_name(value):
                 call()
 
 
+@pytest.mark.parametrize("key", [(-0.5, 0, 0), (0.9, 0.2, 0.7), (0, 0, 1e-9)])
+def test_non_integral_key_is_rejected_by_name(key):
+    """A fractional key names no voxel: truncating it toward zero would
+    answer voxel (0, 0, 0) for (-0.5, 0, 0), which `lookup_points` (flooring
+    the point) rightly places in voxel -1."""
+    vm = VoxelMap(voxel_size=1.0, num_classes=3)
+    vm.integrate_scan(cloud([[0.5, 0.5, 0.5]], [one_hot(0, 3)]), 0)
+    calls = [lambda: pack_keys(np.array([key])),
+             lambda: vm.rows_for_keys(np.array([(0, 0, 0), key])),
+             lambda: vm.query_voxel(key),
+             lambda: key in vm]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="non-integral voxel key"):
+            call()
+    _, found = vm.lookup_points(np.array([[-0.5, 0.5, 0.5]]))
+    assert not found[0]
+
+
+def test_integral_float_keys_are_accepted():
+    vm = VoxelMap(voxel_size=1.0, num_classes=3)
+    vm.integrate_scan(cloud([[1.5, -0.5, 0.5]], [one_hot(0, 3)]), 0)
+    assert (1.0, -1.0, 0.0) in vm
+    assert vm.query_voxel((1.0, -1.0, -0.0)).n_points == 1
+    assert vm.rows_for_keys(np.array([[1.0, -1.0, 0.0], [2.0, 0.0, 0.0]])).tolist() == [0, -1]
+    np.testing.assert_array_equal(pack_keys(np.array([[1.0, -1.0, 0.0]])),
+                                  pack_keys(np.array([[1, -1, 0]])))
+
+
+def test_rows_for_points_hits_misses_and_empty():
+    vm = VoxelMap(voxel_size=0.5, num_classes=3)
+    vm.integrate_scan(cloud([[0.1, 0.1, 0.1], [-0.1, 0.7, 2.0], [3.0, 3.0, 3.0]],
+                            [one_hot(0, 3)] * 3), 0)
+    pts = np.array([[0.4, 0.2, 0.0], [5.0, 5.0, 5.0], [-0.4, 0.99, 2.2],
+                    [0.1, 0.1, -0.1], [3.2, 3.4, 3.1], [0.1, 0.1, 0.1]])
+    rows = vm.rows_for_points(pts)
+    a, b, c = vm.rows_for_keys(np.array([[0, 0, 0], [-1, 1, 4], [6, 6, 6]]))
+    assert rows.tolist() == [a, -1, b, -1, c, a]
+    assert sorted([a, b, c]) == [0, 1, 2]
+    empty = vm.rows_for_points(np.zeros((0, 3)))
+    assert empty.shape == (0,) and empty.dtype == np.int64
+    assert VoxelMap(num_classes=3).rows_for_points(pts).tolist() == [-1] * 6
+
+
+def test_rows_for_points_rejects_nan_by_name():
+    vm = VoxelMap(voxel_size=1.0, num_classes=3)
+    vm.integrate_scan(cloud([[0.5, 0.5, 0.5]], [one_hot(0, 3)]), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=r"non-finite coordinate xyz\[1, 2\]"):
+            vm.rows_for_points(np.array([[0.5, 0.5, 0.5], [0.5, 0.5, np.nan]]))
+
+
+@pytest.mark.parametrize("horizon", ["infinite", "finite"])
+def test_voxel_classes_and_lookup_agree_with_distributions(horizon, rng):
+    """Per-row classes are the argmax of each row's distribution;
+    `lookup_points` gathers the same rows per point."""
+    C = 6
+    vm = VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=2)
+    for k in range(4):
+        xyz = rng.uniform(-2, 2, (300, 3))
+        vm.integrate_scan(cloud(xyz, rng.dirichlet(np.full(C, 0.4), 300)), k)
+    p = vm.distributions(np.arange(len(vm)), horizon)
+    cls = vm.voxel_classes(horizon=horizon)
+    np.testing.assert_array_equal(cls, np.argmax(p, axis=-1))
+    rows = rng.integers(0, len(vm), 50)
+    np.testing.assert_array_equal(vm.voxel_classes(rows, horizon), cls[rows])
+    np.testing.assert_array_equal(vm.per_class_voxel_counts(horizon),
+                                  np.bincount(cls, minlength=C))
+    pts = rng.uniform(-3, 3, (500, 3))
+    rows = vm.rows_for_points(pts)
+    probs, found = vm.lookup_points(pts, horizon)
+    np.testing.assert_array_equal(found, rows >= 0)
+    np.testing.assert_array_equal(probs[found], p[rows[found]])
+    np.testing.assert_array_equal(probs[~found], 1.0 / C)
+    assert 0 < found.sum() < len(pts)
+
+
 def test_lookup_points_empty():
     vm = VoxelMap(num_classes=4)
     probs, found = vm.lookup_points(np.zeros((0, 3)))
