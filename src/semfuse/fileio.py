@@ -6,6 +6,9 @@ from __future__ import annotations
 import csv
 import json
 import os
+import zipfile
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +147,50 @@ def save_detections(dets: list[tuple[float, Detection]], labelset, path) -> None
             }) + "\n")
 
 
+def _write_npz(path, arrays: dict) -> None:
+    """Write `arrays` as an npz that `np.load` reads, cheaper than
+    `np.savez_compressed`: `xyz` barely compresses (about 1.1x) yet costs the
+    most to deflate, so it is stored raw; every other entry is deflated at
+    level 1, where probabilities and depth still compress 22x or more.
+    Like numpy, appends ".npz" to a path that lacks it."""
+    if not hasattr(path, "write"):
+        path = os.fspath(path)
+        if not path.endswith(".npz"):
+            path += ".npz"
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as zf:
+        for key, value in arrays.items():
+            if key == "xyz":
+                entry = zipfile.ZipInfo("xyz.npy")
+                entry.compress_type = zipfile.ZIP_STORED
+            else:
+                entry = key + ".npy"  # by name, so it takes the archive's level
+            with zf.open(entry, "w", force_zip64=True) as f:
+                np.lib.format.write_array(f, np.asanyarray(value),
+                                          allow_pickle=False)
+
+
+@contextmanager
+def _read_npz(path):
+    """Open an npz for a loader; any failure to read or decode it, a missing
+    field included, becomes a ParseError that names the file."""
+    try:
+        with open(path, "rb") as f, np.load(f, allow_pickle=False) as z:
+            yield z
+    except ParseError:
+        raise
+    except (OSError, EOFError, KeyError, ValueError, NotImplementedError,
+            zipfile.BadZipFile, zlib.error) as e:
+        raise ParseError(f"{path}: {e}") from e
+
+
+def _finite(z, name: str, path) -> np.ndarray:
+    """Field `name` as float64, rejected if any value is NaN or infinite."""
+    a = z[name]
+    if not np.isfinite(a).all():
+        raise ParseError(f"{path}: non-finite values in '{name}'")
+    return a.astype(np.float64)
+
+
 def save_scan(path, xyz: np.ndarray, intensity: np.ndarray | None,
               timestamp: float, scan_id: int,
               lidar_probs: np.ndarray | None = None,
@@ -161,26 +208,22 @@ def save_scan(path, xyz: np.ndarray, intensity: np.ndarray | None,
         data["lidar_probs"] = np.asarray(lidar_probs, dtype=np.float32)
     if gt_class is not None:
         data["gt_class"] = np.asarray(gt_class, dtype=np.int16)
-    np.savez_compressed(path, **data)
+    _write_npz(path, data)
 
 
 def load_scan(path) -> dict:
-    try:
-        with np.load(path, allow_pickle=False) as z:
-            out = {
-                "xyz": z["xyz"].astype(np.float64),
-                "t": float(z["t"]),
-                "scan_id": int(z["scan_id"]),
-                "labelset_hash": str(z["labelset_hash"]),
-            }
-            if "intensity" in z:
-                out["intensity"] = z["intensity"].astype(np.float64)
-            if "lidar_probs" in z:
-                out["lidar_probs"] = z["lidar_probs"].astype(np.float64)
-            if "gt_class" in z:
-                out["gt_class"] = z["gt_class"].astype(np.int64)
-    except (OSError, KeyError, ValueError) as e:
-        raise ParseError(f"{path}: {e}") from e
+    with _read_npz(path) as z:
+        out = {
+            "xyz": _finite(z, "xyz", path),
+            "t": float(z["t"]),
+            "scan_id": int(z["scan_id"]),
+            "labelset_hash": str(z["labelset_hash"]),
+        }
+        for name in ("intensity", "lidar_probs"):
+            if name in z:
+                out[name] = _finite(z, name, path)
+        if "gt_class" in z:
+            out["gt_class"] = z["gt_class"].astype(np.int64)
     return out
 
 
@@ -192,19 +235,16 @@ def save_frame(path, frame: SegmentationFrame, labelset_hash: str = "") -> None:
     }
     if frame.depth is not None:
         data["depth"] = frame.depth.astype(np.float32)
-    np.savez_compressed(path, **data)
+    _write_npz(path, data)
 
 
 def load_frame(path) -> tuple[SegmentationFrame, str]:
-    try:
-        with np.load(path, allow_pickle=False) as z:
-            depth = z["depth"].astype(np.float64) if "depth" in z else None
-            frame = SegmentationFrame(z["probs"].astype(np.float64), depth=depth,
-                                      timestamp=float(z["t"]))
-            h = str(z["labelset_hash"])
-    except (OSError, KeyError, ValueError) as e:
-        raise ParseError(f"{path}: {e}") from e
-    return frame, h
+    # NaN depth means "no return", so depth is not checked
+    with _read_npz(path) as z:
+        depth = z["depth"].astype(np.float64) if "depth" in z else None
+        frame = SegmentationFrame(_finite(z, "probs", path), depth=depth,
+                                  timestamp=float(z["t"]))
+        return frame, str(z["labelset_hash"])
 
 
 def save_semantic_cloud(path, cloud, labelset_hash: str = "") -> None:
@@ -217,24 +257,20 @@ def save_semantic_cloud(path, cloud, labelset_hash: str = "") -> None:
     }
     if cloud.intensity is not None:
         data["intensity"] = cloud.intensity.astype(np.float32)
-    np.savez_compressed(path, **data)
+    _write_npz(path, data)
 
 
 def load_semantic_cloud(path):
     from .fusion import SemanticCloud
-    try:
-        with np.load(path, allow_pickle=False) as z:
-            cloud = SemanticCloud(
-                xyz=z["xyz"].astype(np.float64),
-                probs=z["probs"].astype(np.float64),
-                intensity=z["intensity"].astype(np.float64) if "intensity" in z else None,
-                frame_id=str(z["frame_id"]),
-                timestamp=float(z["t"]),
-            )
-            h = str(z["labelset_hash"])
-    except (OSError, KeyError, ValueError) as e:
-        raise ParseError(f"{path}: {e}") from e
-    return cloud, h
+    with _read_npz(path) as z:
+        cloud = SemanticCloud(
+            xyz=_finite(z, "xyz", path),
+            probs=_finite(z, "probs", path),
+            intensity=_finite(z, "intensity", path) if "intensity" in z else None,
+            frame_id=str(z["frame_id"]),
+            timestamp=float(z["t"]),
+        )
+        return cloud, str(z["labelset_hash"])
 
 
 def check_hash(expected: str, found: str, path) -> None:

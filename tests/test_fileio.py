@@ -1,3 +1,6 @@
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -145,9 +148,9 @@ def test_scan_round_trip(tmp_path, rng):
     save_scan(path, xyz, intensity, 2.5, 7, lidar_probs=probs, gt_class=gt,
               labelset_hash="h1")
     out = load_scan(path)
-    np.testing.assert_allclose(out["xyz"], xyz.astype(np.float32), atol=1e-6)
-    np.testing.assert_allclose(out["intensity"], intensity.astype(np.float32))
-    np.testing.assert_allclose(out["lidar_probs"], probs.astype(np.float32))
+    np.testing.assert_array_equal(out["xyz"], xyz.astype(np.float32))
+    np.testing.assert_array_equal(out["intensity"], intensity.astype(np.float32))
+    np.testing.assert_array_equal(out["lidar_probs"], probs.astype(np.float32))
     np.testing.assert_array_equal(out["gt_class"], gt)
     assert out["t"] == 2.5 and out["scan_id"] == 7
     assert out["labelset_hash"] == "h1"
@@ -177,8 +180,8 @@ def test_frame_round_trip(tmp_path, rng):
     path = tmp_path / "frame.npz"
     save_frame(path, frame, labelset_hash="abc")
     again, h = load_frame(path)
-    np.testing.assert_allclose(again.probs, probs.astype(np.float32), atol=1e-6)
-    np.testing.assert_allclose(again.depth, depth.astype(np.float32))
+    np.testing.assert_array_equal(again.probs, probs.astype(np.float32))
+    np.testing.assert_array_equal(again.depth, depth.astype(np.float32))
     assert again.timestamp == 1.25
     assert h == "abc"
 
@@ -201,10 +204,183 @@ def test_semantic_cloud_round_trip(tmp_path, rng):
     path = tmp_path / "cloud.npz"
     save_semantic_cloud(path, cloud, labelset_hash="xyz")
     again, h = load_semantic_cloud(path)
-    np.testing.assert_allclose(again.xyz, xyz.astype(np.float32), atol=1e-6)
-    np.testing.assert_allclose(again.probs, probs.astype(np.float32), atol=1e-6)
+    np.testing.assert_array_equal(again.xyz, xyz.astype(np.float32))
+    np.testing.assert_array_equal(again.probs, probs.astype(np.float32))
     assert again.frame_id == "map" and again.timestamp == 3.0
     assert h == "xyz"
+
+
+# --- npz format, corruption and non-finite input -----------------------------
+
+
+def write_scan(path, rng, **fields):
+    n = 40
+    data = dict(xyz=rng.uniform(-5, 5, (n, 3)), intensity=rng.random(n),
+                lidar_probs=rng.dirichlet(np.ones(4), n),
+                gt_class=rng.integers(0, 4, n))
+    data.update(fields)
+    save_scan(path, data["xyz"], data["intensity"], 1.5, 3,
+              lidar_probs=data["lidar_probs"], gt_class=data["gt_class"],
+              labelset_hash="h")
+
+
+def write_frame(path, rng, **fields):
+    data = dict(probs=rng.dirichlet(np.ones(3), (5, 6)),
+                depth=rng.uniform(1, 5, (5, 6)))
+    data.update(fields)
+    save_frame(path, SegmentationFrame(data["probs"], depth=data["depth"],
+                                       timestamp=0.5), labelset_hash="h")
+
+
+def write_cloud(path, rng, **fields):
+    n = 40
+    data = dict(xyz=rng.uniform(-5, 5, (n, 3)),
+                probs=rng.dirichlet(np.ones(4), n), intensity=rng.random(n))
+    data.update(fields)
+    save_semantic_cloud(path, SemanticCloud(data["xyz"], data["probs"],
+                                            intensity=data["intensity"],
+                                            frame_id="map", timestamp=2.0),
+                        labelset_hash="h")
+
+
+def frame_arrays(path):
+    frame, h = load_frame(path)
+    return {"probs": frame.probs, "depth": frame.depth, "t": frame.timestamp,
+            "labelset_hash": h}
+
+
+def cloud_arrays(path):
+    cloud, h = load_semantic_cloud(path)
+    return {"xyz": cloud.xyz, "probs": cloud.probs,
+            "intensity": cloud.intensity, "frame_id": cloud.frame_id,
+            "t": cloud.timestamp, "labelset_hash": h}
+
+
+KINDS = {"scan": (write_scan, load_scan), "frame": (write_frame, frame_arrays),
+         "cloud": (write_cloud, cloud_arrays)}
+
+
+def assert_same_fields(a, b):
+    assert a.keys() == b.keys()
+    for k in a:
+        np.testing.assert_array_equal(a[k], b[k])
+
+
+def entry_data_offset(raw, info):
+    """Offset of an entry's (possibly deflated) data inside the zip bytes."""
+    name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+    return info.header_offset + 30 + name_len + extra_len
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_npz_loads_with_plain_np_load(tmp_path, rng, kind):
+    write, arrays = KINDS[kind]
+    path = tmp_path / "a.npz"
+    write(path, rng)
+    loaded = arrays(path)
+    with np.load(path, allow_pickle=False) as z:
+        for name, value in loaded.items():
+            np.testing.assert_array_equal(z[name], value)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_npz_stores_xyz_and_deflates_the_rest(tmp_path, rng, kind):
+    path = tmp_path / "a.npz"
+    KINDS[kind][0](path, rng)
+    with zipfile.ZipFile(path) as zf:
+        methods = {i.filename: i.compress_type for i in zf.infolist()}
+    assert methods.pop("xyz.npy", zipfile.ZIP_STORED) == zipfile.ZIP_STORED
+    assert methods and set(methods.values()) == {zipfile.ZIP_DEFLATED}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_savez_compressed_logs_still_load(tmp_path, rng, kind):
+    write, arrays = KINDS[kind]
+    path, old = tmp_path / "new.npz", tmp_path / "old.npz"
+    write(path, rng)
+    with np.load(path, allow_pickle=False) as z:
+        np.savez_compressed(old, **{k: z[k] for k in z.files})
+    assert_same_fields(arrays(old), arrays(path))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_npz_suffix_appended_when_missing(tmp_path, rng, kind):
+    write, arrays = KINDS[kind]
+    write(tmp_path / "a", rng)
+    assert not (tmp_path / "a").exists()
+    arrays(tmp_path / "a.npz")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_npz_truncated_file(tmp_path, rng, kind):
+    write, arrays = KINDS[kind]
+    path = tmp_path / "a.npz"
+    write(path, rng)
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    with pytest.raises(ParseError, match="a.npz"):
+        arrays(path)
+
+
+@pytest.mark.parametrize("kind, entry", [
+    ("scan", "xyz.npy"), ("cloud", "xyz.npy"),
+    ("scan", "lidar_probs.npy"), ("frame", "probs.npy"), ("cloud", "probs.npy"),
+])
+def test_npz_flipped_byte_in_entry(tmp_path, rng, kind, entry):
+    write, arrays = KINDS[kind]
+    path = tmp_path / "a.npz"
+    write(path, rng)
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(entry)
+    raw = bytearray(path.read_bytes())
+    raw[entry_data_offset(raw, info) + info.compress_size // 2] ^= 0x5A
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ParseError, match="a.npz"):
+        arrays(path)
+
+
+def test_npz_any_single_corruption_is_a_parse_error(tmp_path, rng):
+    """A flipped byte or a truncation anywhere either goes unnoticed (e.g. in
+    a timestamp field of the zip headers) or raises ParseError, never a raw
+    zipfile, zlib or numpy error."""
+    path = tmp_path / "a.npz"
+    write_scan(path, rng)
+    raw = path.read_bytes()
+    for i in range(0, len(raw), 5):
+        flipped = bytearray(raw)
+        flipped[i] ^= 0xFF
+        for data in (bytes(flipped), raw[:i]):
+            path.write_bytes(data)
+            try:
+                load_scan(path)
+            except ParseError:
+                pass
+
+
+@pytest.mark.parametrize("kind, field, bad", [
+    ("scan", "xyz", np.nan), ("scan", "lidar_probs", np.nan),
+    ("scan", "intensity", np.inf), ("frame", "probs", np.nan),
+    ("cloud", "xyz", -np.inf), ("cloud", "probs", np.nan),
+    ("cloud", "intensity", np.nan),
+])
+def test_npz_non_finite_field_rejected(tmp_path, rng, kind, field, bad):
+    write, arrays = KINDS[kind]
+    path = tmp_path / "a.npz"
+    write(path, rng)
+    with np.load(path) as z:
+        value = z[field].astype(np.float64)
+    value.flat[3] = bad
+    write(path, rng, **{field: value})
+    with pytest.raises(ParseError, match=f"a.npz.*'{field}'"):
+        arrays(path)
+
+
+def test_frame_nan_depth_means_no_return(tmp_path, rng):
+    depth = rng.uniform(1, 5, (5, 6))
+    depth[0, :3] = np.nan
+    path = tmp_path / "a.npz"
+    write_frame(path, rng, depth=depth)
+    frame, _ = load_frame(path)
+    np.testing.assert_array_equal(frame.depth, depth.astype(np.float32))
 
 
 # --- helpers -----------------------------------------------------------------
