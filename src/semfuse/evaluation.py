@@ -119,7 +119,8 @@ def _accumulate(acc: ConfusionAccumulator, cloud, reference: VoxelMap,
     keep = rows >= 0
     if restrict is not None:
         keep &= restrict.contains(xyz)
-    pred = np.argmax(cloud.probs[keep], axis=-1)
+    # argmax before the mask: no (N, C) copy of the kept rows
+    pred = np.argmax(cloud.probs, axis=-1)[keep]
     ref = classes_of(rows[keep])
     unknown = labelset.unknown_index
     if unknown is not None:

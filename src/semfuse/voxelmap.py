@@ -11,6 +11,7 @@ infinite-horizon queries.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -95,8 +96,16 @@ class VoxelMap:
     per-scan states, and older scans leave it. The default map keeps no ring
     (it would cost 8 * n_horizon * num_classes bytes per voxel and a write
     per scan), and a finite-horizon query on it raises InvalidInputError.
-    The accumulated log state is kept unnormalized internally; every query
-    normalizes via log-sum-exp.
+    The accumulated log state is kept unnormalized internally and queries
+    normalize it via log-sum-exp. Reads of an unchanged map share one
+    normalization: the first whole-map read of a horizon (`save`,
+    `export_cloud`, `voxel_classes()`, `per_class_voxel_counts`) keeps that
+    horizon's normalized log state in row order (8 * num_classes bytes per
+    voxel), and the first read of classes keeps each row's class (8 bytes
+    per voxel), until the next `integrate_scan` that moves `last_scan_id`.
+    Row-subset reads gather from that view when it exists and otherwise
+    normalize only their own rows. Normalization works row by row, so both
+    give the same bits. Every read returns a fresh array.
     """
 
     # the per-voxel arrays; row i of each describes one voxel. A map with a
@@ -106,10 +115,15 @@ class VoxelMap:
     def __init__(self, voxel_size: float = 0.25, num_classes: int = 15,
                  n_horizon: int | None = None, labelset_hash: str = "",
                  max_voxels: int | None = None):
-        if voxel_size <= 0:
-            raise InvalidInputError("voxel_size must be positive")
+        if not (math.isfinite(voxel_size) and voxel_size > 0):
+            raise InvalidInputError(
+                f"voxel_size must be finite and positive, got {voxel_size}")
+        if num_classes < 2:
+            raise InvalidInputError(f"num_classes must be >= 2, got {num_classes}")
         if n_horizon is not None and n_horizon < 1:
             raise InvalidInputError("n_horizon must be >= 1")
+        if max_voxels is not None and max_voxels < 1:
+            raise InvalidInputError(f"max_voxels must be >= 1, got {max_voxels}")
         self.voxel_size = float(voxel_size)
         self.num_classes = int(num_classes)
         self.n_horizon = None if n_horizon is None else int(n_horizon)
@@ -137,6 +151,10 @@ class VoxelMap:
             self._n_scans = np.zeros(cap, dtype=np.int64)
             self._PER_VOXEL = self._PER_VOXEL + ("_ring", "_n_scans")
         self._size = 0
+        # whole-map views of the current state, per horizon: the normalized
+        # log state and each row's class, in row order
+        self._views: dict[str, np.ndarray] = {}
+        self._classes: dict[str, np.ndarray] = {}
 
     def __len__(self) -> int:
         return self._size
@@ -209,6 +227,8 @@ class VoxelMap:
         # rejects non-finite or out-of-range coordinates
         packed = pack_keys(voxel_keys(xyz, self.voxel_size))
         self.last_scan_id = scan_id
+        self._views.clear()
+        self._classes.clear()
         n = len(xyz)
         if n == 0:
             return
@@ -303,8 +323,30 @@ class VoxelMap:
                 "finite-horizon query on a map built without n_horizon; "
                 "pass n_horizon to VoxelMap to keep the last scans")
 
+    def _view(self, horizon: str) -> np.ndarray:
+        """Normalized log state of every row, in row order, kept until the
+        map changes. The map's own array: readers copy out of it."""
+        self._check_horizon(horizon)
+        view = self._views.get(horizon)
+        if view is None:
+            n = self._size
+            L = self._L_inf[:n] if horizon == "infinite" else self._ring[:n].sum(axis=1)
+            view = self._views[horizon] = lb.log_normalize(L, axis=-1)
+        return view
+
+    def _row_classes(self, horizon: str) -> np.ndarray:
+        """Class of every row, in row order, kept like `_view`."""
+        cls = self._classes.get(horizon)
+        if cls is None:
+            p = _probs(self._view(horizon).copy())
+            cls = self._classes[horizon] = np.argmax(p, axis=-1)
+        return cls
+
     def _log_state(self, rows: np.ndarray, horizon: str) -> np.ndarray:
         self._check_horizon(horizon)
+        view = self._views.get(horizon)
+        if view is not None:
+            return np.take(view, rows, axis=0)
         if horizon == "infinite":
             L = np.take(self._L_inf, rows, axis=0)
         else:
@@ -312,11 +354,10 @@ class VoxelMap:
         return lb.log_normalize(L, axis=-1)
 
     def distributions(self, rows: np.ndarray, horizon: str = "infinite") -> np.ndarray:
-        # in place: no (V, C) copy beyond the one the log state allocates
-        p = self._log_state(rows, horizon)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        return p
+        """Class distribution (len(rows), C) of each row in `rows`: gathered
+        from the whole-map view when an earlier read built it, else
+        normalized for these rows alone."""
+        return _probs(self._log_state(rows, horizon))
 
     def query_voxel(self, key, horizon: str = "infinite") -> VoxelQuery | None:
         self._check_horizon(horizon)
@@ -339,10 +380,15 @@ class VoxelMap:
                       horizon: str = "infinite") -> np.ndarray:
         """Class of each row in `rows` (default: every row, in row order):
         the argmax of the voxel's distribution, not of its log state, since
-        near-ties can resolve differently after exp. Computed afresh on each
-        call; a caller that reads it repeatedly keeps the result."""
+        near-ties can resolve differently after exp. Every row's class is
+        computed once per map state, by the first call without `rows` (or
+        `export_cloud`); until then a call with `rows` classifies only
+        those rows."""
         if rows is None:
-            rows = np.arange(self._size)
+            return self._row_classes(horizon).copy()
+        cls = self._classes.get(horizon)
+        if cls is not None:
+            return np.take(cls, rows)
         return np.argmax(self.distributions(rows, horizon), axis=-1)
 
     def lookup_points(self, xyz: np.ndarray, horizon: str = "infinite"):
@@ -369,7 +415,10 @@ class VoxelMap:
             return SemanticCloud(np.zeros((0, 3)), np.zeros((0, self.num_classes)),
                                  frame_id="map")
         _, rows = self.sorted_index()
-        probs = self.distributions(rows, horizon)
+        probs = _probs(np.take(self._view(horizon), rows, axis=0))
+        if horizon not in self._classes:
+            cls = self._classes[horizon] = np.empty(len(rows), dtype=np.intp)
+            cls[rows] = np.argmax(probs, axis=-1)
         mean = self._pos_sum[rows] / self._n_points[rows][:, None]
         return SemanticCloud(mean, probs, frame_id="map")
 
@@ -381,8 +430,7 @@ class VoxelMap:
 
     def per_class_voxel_counts(self, horizon: str = "infinite") -> np.ndarray:
         """Voxels per class, by the `voxel_classes` rule."""
-        return np.bincount(self.voxel_classes(horizon=horizon),
-                           minlength=self.num_classes)
+        return np.bincount(self._row_classes(horizon), minlength=self.num_classes)
 
     # --- snapshot format: one JSON header line, then fixed-size little-endian
     # records (int32 ix iy iz, float32 mean xyz, uint32 n_points, C float32
@@ -407,7 +455,7 @@ class VoxelMap:
             f.write(blob)
             if self._size:
                 _, rows = self.sorted_index()
-                L = self._log_state(rows, horizon).astype(np.float32)
+                L = np.take(self._view(horizon), rows, axis=0).astype(np.float32)
                 mean = (self._pos_sum[rows] / self._n_points[rows][:, None]
                         ).astype(np.float32)
                 rec = np.zeros(len(rows), dtype=self._record_dtype())
@@ -430,25 +478,53 @@ class VoxelMap:
         both as its infinite state and as each voxel's one ring scan, so both
         horizons answer with it. New scans integrated afterwards are fused
         into the infinite horizon on top of it, while the finite horizon
-        becomes the newest scan.
+        becomes the newest scan. A malformed snapshot raises
+        InvalidInputError naming the file.
         """
         with open(path, "rb") as f:
-            if f.read(4) != SNAPSHOT_MAGIC:
-                raise InvalidInputError(f"{path}: not a voxel map snapshot")
-            (hlen,) = struct.unpack("<I", f.read(4))
-            header = json.loads(f.read(hlen).decode())
-            vm = cls(voxel_size=header["voxel_size"],
-                     num_classes=header["num_classes"],
-                     n_horizon=1, labelset_hash=header.get("labelset_hash", ""))
-            rec = np.frombuffer(f.read(), dtype=vm._record_dtype())
+            data = f.read()
+        try:
+            return cls._from_snapshot(data)
+        except KeyError as e:
+            raise InvalidInputError(f"{path}: snapshot header has no {e} field") from e
+        except (TypeError, ValueError) as e:
+            raise InvalidInputError(f"{path}: {e}") from e
+
+    @classmethod
+    def _from_snapshot(cls, data: bytes) -> "VoxelMap":
+        if data[:4] != SNAPSHOT_MAGIC:
+            raise InvalidInputError("not a voxel map snapshot")
+        # a file cut inside the length field reads as a header it lacks
+        end = 8 + (struct.unpack_from("<I", data, 4)[0] if len(data) >= 8 else 0)
+        if len(data) < end:
+            raise InvalidInputError("truncated snapshot header")
+        header = json.loads(data[8:end])
+        if not isinstance(header, dict):
+            raise InvalidInputError("snapshot header is not a JSON object")
+        vm = cls(voxel_size=header["voxel_size"], num_classes=header["num_classes"],
+                 n_horizon=1, labelset_hash=header.get("labelset_hash", ""))
+        dtype = vm._record_dtype()
+        if (len(data) - end) % dtype.itemsize:
+            raise InvalidInputError("truncated snapshot: partial record")
+        rec = np.frombuffer(data, dtype=dtype, offset=end)
         if len(rec) != header["count"]:
-            raise InvalidInputError(f"{path}: truncated snapshot")
-        vm._grow(len(rec))
+            raise InvalidInputError(
+                f"truncated snapshot: {len(rec)} of {header['count']} records")
         n = rec["n_points"].astype(np.int64)
-        vm._L_inf[: len(rec)] = lb.log_normalize(rec["logp"].astype(np.float64), axis=-1)
+        mean = rec["mean"].astype(np.float64)
+        logp = rec["logp"].astype(np.float64)
+        for name, values in (("mean", mean), ("logp", logp)):
+            finite = np.isfinite(values)
+            if not finite.all():
+                raise InvalidInputError(
+                    f"record {np.argwhere(~finite)[0, 0]}: non-finite {name}")
+        if not n.all():
+            raise InvalidInputError(f"record {np.argmin(n)}: no points")
+        vm._grow(len(rec))
+        vm._L_inf[: len(rec)] = lb.log_normalize(logp, axis=-1)
         vm._ring[: len(rec), 0] = vm._L_inf[: len(rec)]
         vm._n_scans[: len(rec)] = 1
-        vm._pos_sum[: len(rec)] = rec["mean"].astype(np.float64) * n[:, None]
+        vm._pos_sum[: len(rec)] = mean * n[:, None]
         vm._n_points[: len(rec)] = n
         if len(rec):
             packed = pack_keys(rec["key"].astype(np.int64))
@@ -456,5 +532,16 @@ class VoxelMap:
             sort = np.argsort(packed)
             vm._sorted_packed = packed[sort]
             vm._sorted_rows = np.arange(len(rec))[sort]
+            dup = vm._sorted_packed[1:] == vm._sorted_packed[:-1]
+            if dup.any():
+                raise InvalidInputError(
+                    f"duplicate voxel key {unpack_keys(vm._sorted_packed[np.argmax(dup)])}")
         vm._size = len(rec)
         return vm
+
+
+def _probs(L: np.ndarray) -> np.ndarray:
+    """Distributions from normalized log states (n, C), in place."""
+    np.exp(L, out=L)
+    L /= L.sum(axis=-1, keepdims=True)
+    return L

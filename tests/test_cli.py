@@ -114,6 +114,23 @@ def test_eval_nonzero_exit_on_corrupt_map(log_dir, runner, tmp_path):
     assert "error:" in res.output
 
 
+@pytest.mark.parametrize("cut", [6, 20, -10])
+def test_eval_truncated_snapshot_names_the_file(log_dir, runner, tmp_path, cut):
+    """A snapshot cut inside its length field, its JSON header or its last
+    record fails with one error line naming the file, not a traceback."""
+    data = open(os.path.join(log_dir, "gt_map.svx"), "rb").read()
+    bad = tmp_path / "cut.svx"
+    bad.write_bytes(data[:cut])
+    config = os.path.join(log_dir, "config.json")
+    for args in (["--pred", str(bad), "--ref", os.path.join(log_dir, "gt_map.svx")],
+                 ["--pred", os.path.join(log_dir, "gt_map.svx"), "--ref", str(bad)]):
+        res = runner.invoke(main, ["eval", "--config", config] + args)
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert f"error: {bad}: " in res.output
+        assert "Traceback" not in res.output
+
+
 def test_bench_smoke(runner):
     res = runner.invoke(main, ["bench", "--repeats", "1"])
     assert res.exit_code == 0, res.output

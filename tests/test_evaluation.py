@@ -12,6 +12,7 @@ from semfuse.fusion import SemanticCloud
 from semfuse.geometry import CameraModel, Pose
 from semfuse.labels import LabelSet
 from semfuse.voxelmap import VoxelMap
+from tests.conftest import parent_classes, parent_distributions
 
 IDENTITY_Q = np.array([1.0, 0, 0, 0])
 
@@ -273,7 +274,7 @@ def test_map_vs_map_unknown_reference_voxels_skipped(labelset):
 
 def iou_map_vs_map_by_key_sets(pred, reference, labelset):
     """Reference algorithm: Python sets of key tuples, sorted, then one row
-    lookup per set."""
+    lookup per set, each set's rows normalized alone."""
     acc = ConfusionAccumulator(reference.num_classes)
     unknown = labelset.unknown_index
     pred_keys = {tuple(k) for k in pred.keys_array}
@@ -283,7 +284,7 @@ def iou_map_vs_map_by_key_sets(pred, reference, labelset):
         if not keys:
             return np.zeros(0, dtype=np.int64)
         rows = vmap.rows_for_keys(np.array(sorted(keys)))
-        return np.argmax(vmap.distributions(rows), axis=-1)
+        return np.argmax(parent_distributions(vmap, rows), axis=-1)
 
     both = pred_keys & ref_keys
     p_both, r_both = argmax(pred, both), argmax(reference, both)
@@ -328,6 +329,55 @@ def test_map_vs_map_equals_key_set_algorithm(labelset, rng):
                                       iou_map_vs_map_by_key_sets(a, b, labelset))
     assert (labelset.unknown_index in
             np.argmax(unknown_ref.export_cloud().probs, axis=-1))
+
+
+def parent_scan_vs_map(clouds, reference, labelset):
+    """IoU of clouds against a reference whose classes come from the per-row
+    computation, each cloud's kept rows copied before their argmax."""
+    acc = ConfusionAccumulator(reference.num_classes)
+    ref_cls = parent_classes(reference)
+    for cloud in clouds:
+        rows = reference.rows_for_points(cloud.xyz)
+        keep = rows >= 0
+        pred, ref = np.argmax(cloud.probs[keep], axis=-1), ref_cls[rows[keep]]
+        known = ref != labelset.unknown_index
+        acc.add(pred[known], ref[known])
+    return acc.iou()
+
+
+def test_iou_reads_follow_map_changes(labelset, rng):
+    """Both IoU forms equal the per-row computation bit for bit on maps
+    without views, on the same maps read again, and after a scan or an
+    eviction changes a map whose views an earlier evaluation built."""
+    C = labelset.num_classes
+    pred = random_map(rng, C, -2.0, 3.0)
+    ref = random_map(rng, C, 0.0, 5.0)
+    capped = VoxelMap(voxel_size=0.5, num_classes=C, max_voxels=500)
+    for k in range(2):
+        capped.integrate_scan(SemanticCloud(rng.uniform(k, 4 + k, (400, 3)),
+                                            rng.dirichlet(np.full(C, 0.3), 400)), k)
+    clouds = [SemanticCloud(rng.uniform(-2, 6, (n, 3)),
+                            rng.dirichlet(np.full(C, 0.3), n)) for n in (600, 0, 200)]
+    results = set()
+    for step in range(4):
+        for a, b in ((pred, ref), (ref, pred), (capped, ref), (pred, capped)):
+            for _ in range(2):
+                got = iou_map_vs_map(a, b, labelset).per_class
+                np.testing.assert_array_equal(
+                    got, iou_map_vs_map_by_key_sets(a, b, labelset))
+            results.add(got.tobytes())
+        for reference in (ref, capped):
+            for _ in range(2):
+                np.testing.assert_array_equal(
+                    iou_scan_vs_map(clouds, reference, labelset).per_class,
+                    parent_scan_vs_map(clouds, reference, labelset))
+        # each step changes all three maps; the capped one evicts
+        for m in (pred, ref, capped):
+            m.integrate_scan(SemanticCloud(rng.uniform(-2 + step, 2 + step, (300, 3)),
+                                           rng.dirichlet(np.full(C, 0.3), 300)),
+                             m.last_scan_id + 1)
+        assert len(capped) == 500
+    assert len(results) > 4
 
 
 # --- reporting ---------------------------------------------------------------

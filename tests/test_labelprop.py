@@ -12,6 +12,7 @@ from semfuse.labelprop import (UNLABELED, PseudoLabelImage, ScanRecord,
                                load_training_pair, single_overlay_pseudolabels)
 from semfuse.labels import InvalidInputError, LabelSet
 from semfuse.voxelmap import VoxelMap
+from tests.conftest import parent_export, parent_lookup
 
 IDENTITY_Q = np.array([1.0, 0, 0, 0])
 
@@ -162,21 +163,22 @@ def test_labels_agree_with_map_argmax(labelset):
 def pseudolabels_by_lookup(vmap, scans, labelset, model, window, threshold,
                            horizon):
     """Reference: `generate_pseudolabels` with every scan point gathering its
-    voxel's (N, C) distribution through `lookup_points`, and each cell
-    taking the argmax and max of its winning point's row."""
+    voxel's (N, C) distribution in the way of `lookup_points`, and each cell
+    taking the argmax and max of its winning point's row. Every distribution
+    comes from the per-row computation, not from the map's views."""
     dynamic = np.zeros(labelset.num_classes, dtype=bool)
     dynamic[list(labelset.dynamic_indices)] = True
-    map_cloud = vmap.export_cloud(horizon)
-    static = ~dynamic[np.argmax(map_cloud.probs, axis=-1)]
+    map_xyz, map_probs = parent_export(vmap, horizon)
+    static = ~dynamic[np.argmax(map_probs, axis=-1)]
     dyn = {}
     for scan in scans:
         w = scan.world_xyz()
-        probs, found = vmap.lookup_points(w, horizon)
+        probs, found = parent_lookup(vmap, w, horizon)
         sel = found & dynamic[np.argmax(probs, axis=-1)]
         dyn[scan.scan_id] = (w[sel], probs[sel])
     out = []
     for scan in scans:
-        parts = [(map_cloud.xyz[static], map_cloud.probs[static])]
+        parts = [(map_xyz[static], map_probs[static])]
         parts += [dyn[o.scan_id] for o in scans
                   if abs(o.scan_id - scan.scan_id) <= window]
         world = np.concatenate([x for x, _ in parts])
@@ -244,6 +246,39 @@ def test_pseudolabels_match_lookup_oracle(labelset):
                             for img in got]
     assert all(n > 0 for n in labeled["infinite", 2, 1.0])
     assert sum(labeled["finite", 0, 0.0]) < sum(labeled["finite", 5, 0.0])
+
+
+@pytest.mark.parametrize("max_voxels", [None, 700])
+def test_pseudolabels_follow_map_changes(labelset, max_voxels):
+    """Pseudo-labels equal the per-row oracle on a map read for the first
+    time, on the same map read again, and after each new scan (with
+    eviction on a capped map)."""
+    rng = np.random.default_rng(8)
+    C = labelset.num_classes
+    model = SphericalModel(width=64, height=16)
+    vm = VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=2, max_voxels=max_voxels)
+    scans, sizes = [], []
+    for k in range(4):
+        world = rng.uniform([-6 + 2 * k, -6, -1], [6 + 2 * k, 6, 1], size=(400, 3))
+        probs = rng.dirichlet(np.full(C, 0.2), size=400)
+        probs[::4, list(labelset.dynamic_indices)] += 2.0
+        probs /= probs.sum(axis=1, keepdims=True)
+        vm.integrate_scan(SemanticCloud(world, probs), k)
+        sizes.append(len(vm))
+        pose = pose_at(t=float(k), xyz=(2.0 * k, 0.0, 0.1))
+        scans.append(ScanRecord(apply(invert(pose.matrix()), world), pose, k))
+        for horizon in ("infinite", "finite"):
+            expect = pseudolabels_by_lookup(vm, scans, labelset, model, 1, 0.5, horizon)
+            for _ in range(2):
+                got = generate_pseudolabels(vm, scans, labelset, model,
+                                            policy=ScanWindowPolicy(1),
+                                            threshold=0.5, horizon=horizon)
+                for img, (classes, conf, _, _) in zip(got, expect):
+                    np.testing.assert_array_equal(img.classes, classes)
+                    np.testing.assert_array_equal(img.confidence, conf)
+        assert any(img.labeled.any() for img in got)
+    if max_voxels is not None:  # the last two scans evict
+        assert sizes[0] < max_voxels and sizes[-2:] == [max_voxels] * 2
 
 
 # --- ground-plane correction ------------------------------------------------

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semfuse import labels as labels_module
 from semfuse import runner
 from semfuse.fusion import SemanticCloud
 from semfuse.labels import (InvalidInputError, bayes_fuse, log_from_prob,
                             log_normalize, uniform)
 from semfuse.runner import RunConfig
 from semfuse.voxelmap import (VoxelMap, pack_keys, unpack_keys, voxel_keys)
-from tests.conftest import scene_path
+from tests.conftest import (parent_classes, parent_distributions, parent_export,
+                            parent_log_state, parent_lookup, scene_path)
 
 
 def cloud(xyz, probs):
@@ -75,6 +77,26 @@ def test_rejects_bad_params():
         VoxelMap(voxel_size=0.0)
     with pytest.raises(InvalidInputError):
         VoxelMap(n_horizon=0)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"voxel_size": np.nan}, "voxel_size"),
+    ({"voxel_size": np.inf}, "voxel_size"),
+    ({"voxel_size": -0.5}, "voxel_size"),
+    ({"num_classes": 0}, "num_classes"),
+    ({"num_classes": 1}, "num_classes"),
+    ({"max_voxels": 0}, "max_voxels"),
+    ({"max_voxels": -1}, "max_voxels"),
+])
+def test_constructor_rejects_out_of_contract_by_name(kwargs, name):
+    with pytest.raises(InvalidInputError, match=name):
+        VoxelMap(**kwargs)
+
+
+def test_smallest_valid_parameters_work():
+    vm = VoxelMap(voxel_size=1e-3, num_classes=2, max_voxels=1)
+    vm.integrate_scan(cloud([[0.0, 0, 0], [1.0, 0, 0]], [[0.9, 0.1]] * 2), 0)
+    assert len(vm) == 1
 
 
 def test_default_map_keeps_no_ring():
@@ -491,6 +513,83 @@ def test_snapshot_rejects_truncation(tmp_path, rng):
         VoxelMap.load(path)
 
 
+def saved_snapshot(path, C=3):
+    """A three-voxel snapshot: (header length, header dict, records copy)."""
+    vm = VoxelMap(voxel_size=1.0, num_classes=C)
+    vm.integrate_scan(cloud([[0.5, 0.5, 0.5], [1.5, 0.5, 0.5], [2.5, 0.5, 0.5]],
+                            [one_hot(k, C) for k in range(3)]), 0)
+    vm.save(path)
+    data = path.read_bytes()
+    (hlen,) = struct.unpack("<I", data[4:8])
+    rec = np.frombuffer(data[8 + hlen:], dtype=vm._record_dtype()).copy()
+    return data, hlen, json.loads(data[8: 8 + hlen]), rec
+
+
+def with_records(data, hlen, rec):
+    return data[: 8 + hlen] + rec.tobytes()
+
+
+def without_field(data, hlen, name):
+    header = json.loads(data[8: 8 + hlen])
+    del header[name]
+    blob = json.dumps(header).encode()
+    return data[:4] + struct.pack("<I", len(blob)) + blob + data[8 + hlen:]
+
+
+def spoiled(field, value):
+    def edit(data, hlen, rec):
+        rec[field][1] = value
+        return with_records(data, hlen, rec)
+    return edit
+
+
+def duplicated(data, hlen, rec):
+    rec["key"][2] = rec["key"][0]
+    return with_records(data, hlen, rec)
+
+
+@pytest.mark.parametrize("edit, what", [
+    pytest.param(lambda d, h, r: d[:6], "truncated snapshot header",
+                 id="cut-length-field"),
+    pytest.param(lambda d, h, r: d[: 8 + h // 2], "truncated snapshot header",
+                 id="cut-header"),
+    pytest.param(lambda d, h, r: d[: 8 + h - 3] + d[8 + h:], "line 1",
+                 id="cut-json"),
+    pytest.param(lambda d, h, r: d[:-10], "partial record", id="partial-record"),
+    pytest.param(lambda d, h, r: d[: 8 + h] + r[:2].tobytes(), "2 of 3 records",
+                 id="missing-record"),
+    pytest.param(lambda d, h, r: without_field(d, h, "voxel_size"),
+                 "no 'voxel_size' field", id="no-voxel-size"),
+    pytest.param(lambda d, h, r: without_field(d, h, "count"), "no 'count' field",
+                 id="no-count"),
+    pytest.param(spoiled("logp", np.nan), "record 1: non-finite logp", id="nan-logp"),
+    pytest.param(spoiled("mean", np.nan), "record 1: non-finite mean", id="nan-mean"),
+    pytest.param(spoiled("n_points", 0), "record 1: no points", id="no-points"),
+    pytest.param(duplicated, "duplicate voxel key", id="duplicate-key"),
+])
+def test_malformed_snapshot_raises_invalid_input_naming_file(tmp_path, edit, what):
+    path = tmp_path / "map.svx"
+    data, hlen, _, rec = saved_snapshot(path)
+    bad = tmp_path / "bad.svx"
+    bad.write_bytes(edit(data, hlen, rec))
+    with pytest.raises(InvalidInputError) as info:
+        VoxelMap.load(bad)
+    assert str(bad) in str(info.value) and what in str(info.value)
+
+
+def test_malformed_header_values_raise_invalid_input_naming_file(tmp_path):
+    path = tmp_path / "map.svx"
+    data, hlen, header, _ = saved_snapshot(path)
+    for change in ({"voxel_size": float("nan")}, {"voxel_size": "big"},
+                   {"num_classes": 1}, [1, 2]):
+        blob = json.dumps(change if isinstance(change, list)
+                          else {**header, **change}).encode()
+        path.write_bytes(data[:4] + struct.pack("<I", len(blob)) + blob
+                         + data[8 + hlen:])
+        with pytest.raises(InvalidInputError, match=str(path)):
+            VoxelMap.load(path)
+
+
 def test_loaded_map_accepts_new_scans(tmp_path):
     vm = VoxelMap(num_classes=3)
     vm.integrate_scan(cloud([[0.1, 0.1, 0.1]], [one_hot(0, 3, 0.8)]), 0)
@@ -608,3 +707,272 @@ def test_voxel_allocated_after_eviction_starts_empty():
     for horizon in ("infinite", "finite"):
         np.testing.assert_allclose(vm.query_voxel((0, 0, 0), horizon).probs,
                                    one_hot(2, 3), atol=1e-9)
+
+
+# --- whole-map views ---------------------------------------------------------
+
+
+@pytest.fixture
+def normalized_shapes(monkeypatch):
+    """Shapes of the arrays passed to `labels.log_normalize`, in call order."""
+    shapes = []
+    original = labels_module.log_normalize
+
+    def recording(L, axis=-1):
+        shapes.append(np.shape(L))
+        return original(L, axis=axis)
+
+    monkeypatch.setattr(labels_module, "log_normalize", recording)
+    return shapes
+
+
+def same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def snapshot_records(path) -> bytes:
+    data = path.read_bytes()
+    (hlen,) = struct.unpack("<I", data[4:8])
+    return data[8 + hlen:]
+
+
+def parent_records(vm, horizon) -> bytes:
+    """The records `save` wrote when it normalized the sorted rows alone."""
+    _, rows = vm.sorted_index()
+    rec = np.zeros(len(rows), dtype=vm._record_dtype())
+    rec["key"] = unpack_keys(vm._row_packed[rows]).astype(np.int32)
+    rec["mean"] = (vm._pos_sum[rows] / vm._n_points[rows][:, None]).astype(np.float32)
+    rec["n_points"] = vm._n_points[rows].astype(np.uint32)
+    rec["logp"] = parent_log_state(vm, rows, horizon).astype(np.float32)
+    return rec.tobytes()
+
+
+def read_probes(vm, rng):
+    """Rows (with repeats), points (some off the map) and keys to read."""
+    n = len(vm)
+    rows = rng.integers(0, n, 40) if n else np.zeros(0, dtype=np.int64)
+    lo, hi = ((vm.keys_array.min(), vm.keys_array.max() + 1) if n else (0, 1))
+    pts = rng.uniform(lo - 1, hi + 1, (300, 3)) * vm.voxel_size
+    keys = vm.keys_array[rows[:5]]
+    return rows, pts, keys
+
+
+def subset_reads(vm, horizon, rows, pts, keys) -> dict:
+    probs, found = vm.lookup_points(pts, horizon)
+    queries = [vm.query_voxel(k, horizon) for k in keys]
+    return {"distributions": vm.distributions(rows, horizon),
+            "voxel_classes(rows)": vm.voxel_classes(rows, horizon),
+            "lookup_points.probs": probs, "lookup_points.found": found,
+            "query_voxel.probs": np.array([q.probs for q in queries]).reshape(-1, vm.num_classes),
+            "query_voxel.mean_pos": np.array([q.mean_pos for q in queries]).reshape(-1, 3)}
+
+
+WHOLE_READS = ("save", "export_cloud", "voxel_classes", "per_class_voxel_counts")
+
+
+def whole_reads(vm, horizon, path, first="save") -> dict:
+    def one(name):
+        if name == "save":
+            vm.save(path, horizon=horizon)
+            return {"save": np.frombuffer(snapshot_records(path), dtype=np.uint8)}
+        if name == "export_cloud":
+            out = vm.export_cloud(horizon)
+            return {"export_cloud.xyz": out.xyz, "export_cloud.probs": out.probs}
+        if name == "voxel_classes":
+            return {"voxel_classes()": vm.voxel_classes(horizon=horizon)}
+        return {"per_class_voxel_counts": vm.per_class_voxel_counts(horizon)}
+    out = one(first)
+    for name in WHOLE_READS:
+        if name != first:
+            out.update(one(name))
+    return out
+
+
+def parent_reads(vm, horizon, rows, pts, keys) -> dict:
+    probs, found = parent_lookup(vm, pts, horizon)
+    key_rows = vm.rows_for_keys(keys) if len(keys) else np.zeros(0, dtype=np.int64)
+    dist = parent_distributions(vm, rows, horizon)
+    cls = parent_classes(vm, horizon)
+    xyz, export_probs = parent_export(vm, horizon)
+    return {"distributions": dist,
+            "voxel_classes(rows)": np.argmax(dist, axis=-1),
+            "lookup_points.probs": probs, "lookup_points.found": found,
+            "query_voxel.probs": parent_distributions(vm, key_rows, horizon),
+            "query_voxel.mean_pos": (vm._pos_sum[key_rows]
+                                     / vm._n_points[key_rows][:, None]),
+            "save": np.frombuffer(parent_records(vm, horizon), dtype=np.uint8),
+            "export_cloud.xyz": xyz if len(vm) else np.zeros((0, 3)),
+            "export_cloud.probs": export_probs,
+            "voxel_classes()": cls,
+            "per_class_voxel_counts": np.bincount(cls, minlength=vm.num_classes)}
+
+
+def assert_reads_match_parent(vm, horizon, rng, path, first="save"):
+    """Subset reads on a map without views, whole-map reads (`first`
+    leading), then the subset reads again, gathered from the views: all
+    equal the per-row computation bit for bit."""
+    rows, pts, keys = read_probes(vm, rng)
+    expect = parent_reads(vm, horizon, rows, pts, keys)
+    got = {"cold " + k: v for k, v in subset_reads(vm, horizon, rows, pts, keys).items()}
+    got.update(whole_reads(vm, horizon, path, first))
+    got.update({"warm " + k: v for k, v in subset_reads(vm, horizon, rows, pts, keys).items()})
+    assert len(got) == 2 * 6 + 5
+    for name, value in got.items():
+        same(value, expect[name.split(" ")[-1]])
+    return expect
+
+
+def random_scans(rng, C, n_scans, lo=-3.0, hi=3.0, n=400, start=0):
+    for k in range(start, start + n_scans):
+        xyz = rng.uniform(lo, hi, (n, 3))
+        probs = rng.dirichlet(np.full(C, 0.3), n)
+        probs[::3] = rng.dirichlet(np.full(C, 30.0), len(probs[::3]))  # near-ties
+        yield cloud(xyz, probs), k
+
+
+def memo_map(case, rng, tmp_path):
+    C = 5
+    if case == "empty":
+        return VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=2)
+    vm = VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=3)
+    for scan, k in random_scans(rng, C, 5):
+        vm.integrate_scan(scan, k)
+    if case == "loaded":
+        vm.save(tmp_path / "source.svx", horizon="finite")
+        vm = VoxelMap.load(tmp_path / "source.svx")
+    return vm
+
+
+@pytest.mark.parametrize("first", WHOLE_READS)
+@pytest.mark.parametrize("horizon", ["infinite", "finite"])
+@pytest.mark.parametrize("case", ["random", "loaded", "empty"])
+def test_reads_equal_per_row_computation(case, horizon, first, tmp_path):
+    rng = np.random.default_rng(7)
+    vm = memo_map(case, rng, tmp_path)
+    expect = assert_reads_match_parent(vm, horizon, rng, tmp_path / "map.svx", first)
+    if case != "empty":
+        assert 0 < expect["lookup_points.found"].sum() < 300
+    # a second round reads the views only
+    assert_reads_match_parent(vm, horizon, rng, tmp_path / "map.svx", first)
+
+
+def test_reads_on_random_maps_without_ring(tmp_path):
+    for seed in range(4):
+        rng = np.random.default_rng(100 + seed)
+        vm = VoxelMap(voxel_size=0.3, num_classes=2 + seed * 4)
+        for scan, k in random_scans(rng, vm.num_classes, 1 + seed):
+            vm.integrate_scan(scan, k)
+        assert_reads_match_parent(vm, "infinite", rng, tmp_path / "map.svx")
+
+
+@pytest.mark.parametrize("max_voxels", [None, 300])
+def test_reads_follow_each_scan(max_voxels, tmp_path):
+    """Views built before a scan are dropped by it, eviction included."""
+    rng = np.random.default_rng(11)
+    C = 4
+    vm = VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=2, max_voxels=max_voxels)
+    path = tmp_path / "map.svx"
+    sizes = []
+    # later scans reach new ground, so eviction has old voxels to drop
+    for scan, k in random_scans(rng, C, 4, n=300):
+        scan.xyz[:, 0] += 2.0 * k
+        vm.integrate_scan(scan, k)
+        sizes.append(len(vm))
+        for horizon in ("infinite", "finite"):
+            assert_reads_match_parent(vm, horizon, rng, path)
+    if max_voxels is not None:
+        assert sizes[-1] == max_voxels
+    else:
+        assert sizes == sorted(sizes) and sizes[0] < sizes[-1]
+    # an empty scan moves last_scan_id and changes nothing
+    before = vm.export_cloud().probs
+    vm.integrate_scan(cloud(np.zeros((0, 3)), np.zeros((0, C))), 10)
+    same(vm.export_cloud().probs, before)
+
+
+@pytest.mark.parametrize("bad", ["nan probs", "nan xyz", "out of range", "old scan id"])
+def test_rejected_scan_keeps_reads_and_views(bad, tmp_path, normalized_shapes):
+    rng = np.random.default_rng(5)
+    C = 4
+    vm = VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=2)
+    for scan, k in random_scans(rng, C, 3):
+        vm.integrate_scan(scan, k)
+    path = tmp_path / "map.svx"
+    rows, pts, keys = read_probes(vm, rng)
+    before = {h: {**whole_reads(vm, h, path), **subset_reads(vm, h, rows, pts, keys)}
+              for h in ("infinite", "finite")}
+    xyz, probs = rng.uniform(-3, 3, (50, 3)), rng.dirichlet(np.ones(C), 50)
+    scan_id = 3
+    if bad == "nan probs":
+        probs[7, 1] = np.nan
+    elif bad == "nan xyz":
+        xyz[9, 2] = np.nan
+    elif bad == "out of range":
+        xyz[0, 0] = 2.0 ** 22
+    else:
+        scan_id = 2
+    with pytest.raises(InvalidInputError):
+        vm.integrate_scan(cloud(xyz, probs), scan_id)
+    assert vm.last_scan_id == 2
+    del normalized_shapes[:]
+    for h in ("infinite", "finite"):
+        after = {**whole_reads(vm, h, path), **subset_reads(vm, h, rows, pts, keys)}
+        for name in before[h]:
+            same(after[name], before[h][name])
+    assert normalized_shapes == []  # every read came from the kept views
+
+
+def test_writing_into_returned_arrays_changes_no_later_read(tmp_path):
+    rng = np.random.default_rng(9)
+    C = 4
+    vm = VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=2)
+    for scan, k in random_scans(rng, C, 3):
+        vm.integrate_scan(scan, k)
+    path = tmp_path / "map.svx"
+    for horizon in ("infinite", "finite"):
+        rows, pts, keys = read_probes(vm, rng)
+        expect = parent_reads(vm, horizon, rows, pts, keys)
+        for _ in range(2):
+            got = {**whole_reads(vm, horizon, path),
+                   **subset_reads(vm, horizon, rows, pts, keys)}
+            for name, value in got.items():
+                same(value, expect[name])
+                if value.flags.writeable:
+                    value[...] = 3 if value.dtype.kind != "b" else False
+
+
+def test_subset_read_without_views_normalizes_only_its_rows(normalized_shapes):
+    rng = np.random.default_rng(1)
+    C = 6
+    vm = VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=2)
+    for scan, k in random_scans(rng, C, 2):
+        vm.integrate_scan(scan, k)
+    V = len(vm)
+    centres = vm.export_cloud().xyz
+    pts = centres[[0, 0, 5, 9, 9, 9]]
+    vm.integrate_scan(cloud(centres[:20], rng.dirichlet(np.ones(C), 20)), 2)
+    assert len(vm) == V  # the new scan lands inside the map; views are gone
+    del normalized_shapes[:]
+    for horizon in ("infinite", "finite"):
+        vm.distributions(np.array([4, 1, 4]), horizon)
+        vm.voxel_classes(np.array([2, 3]), horizon)
+        vm.query_voxel(vm.keys_array[7], horizon)
+        vm.lookup_points(pts, horizon)
+    assert normalized_shapes == [(3, C), (2, C), (1, C), (3, C)] * 2
+    # a whole-map read normalizes every row once; later reads gather
+    del normalized_shapes[:]
+    vm.voxel_classes()
+    vm.save(os.devnull)
+    vm.export_cloud()
+    vm.per_class_voxel_counts()
+    vm.distributions(np.array([4, 1, 4]))
+    vm.voxel_classes(np.array([2, 3]))
+    vm.query_voxel(vm.keys_array[7])
+    vm.lookup_points(pts)
+    assert normalized_shapes == [(V, C)]
+    # each horizon has its own view
+    vm.export_cloud("finite")
+    vm.lookup_points(pts, "finite")
+    assert normalized_shapes == [(V, C), (V, C)]
