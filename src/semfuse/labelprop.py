@@ -124,14 +124,15 @@ def generate_pseudolabels(vmap: VoxelMap, scans: list[ScanRecord],
         warnings.warn("empty map: pseudo-labels are all unlabeled", stacklevel=2)
 
     map_cloud = vmap.export_cloud(horizon)
-    # export_cloud lists voxels in sorted-key order; voxel_classes lists
-    # them in row order, by which the scans' points look their voxels up
-    _, export_rows = vmap.sorted_index()
-    row_cls = vmap.voxel_classes(horizon=horizon)
-    map_cls = row_cls[export_rows]
+    map_cls = np.argmax(map_cloud.probs, axis=-1)
     map_conf = np.take_along_axis(map_cloud.probs, map_cls[:, None], axis=-1)[:, 0]
     static_sel = ~dynamic[map_cls]
     static = (map_cloud.xyz[static_sel], map_cls[static_sel], map_conf[static_sel])
+    # export_cloud lists voxels in sorted-key order; the scans' points look
+    # their voxels up by row, so put the same classes in row order
+    _, export_rows = vmap.sorted_index()
+    row_cls = np.empty_like(map_cls)
+    row_cls[export_rows] = map_cls
     row_conf = np.empty_like(map_conf)
     row_conf[export_rows] = map_conf
 

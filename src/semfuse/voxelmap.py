@@ -21,6 +21,9 @@ from . import labels as lb
 from .labels import InvalidInputError
 
 SNAPSHOT_MAGIC = b"SFVX"
+# class ids leave the pipeline as uint8, with 255 kept for "unlabeled"; the
+# bound keeps a corrupt snapshot header from sizing a map of absurd width
+_MAX_SNAPSHOT_CLASSES = 255
 
 # voxel indices are packed into one int64 (21 bits per axis) so hashing and
 # grouping stay on flat integer arrays
@@ -98,14 +101,13 @@ class VoxelMap:
     per scan), and a finite-horizon query on it raises InvalidInputError.
     The accumulated log state is kept unnormalized internally and queries
     normalize it via log-sum-exp. Reads of an unchanged map share one
-    normalization: the first whole-map read of a horizon (`save`,
-    `export_cloud`, `voxel_classes()`, `per_class_voxel_counts`) keeps that
-    horizon's normalized log state in row order (8 * num_classes bytes per
-    voxel), and the first read of classes keeps each row's class (8 bytes
-    per voxel), until the next `integrate_scan` that moves `last_scan_id`.
-    Row-subset reads gather from that view when it exists and otherwise
-    normalize only their own rows. Normalization works row by row, so both
-    give the same bits. Every read returns a fresh array.
+    normalization: the first read of a horizon keeps that horizon's
+    normalized log state in row order (8 * num_classes bytes per voxel), and
+    the first read of classes keeps each row's class (8 bytes per voxel),
+    until the next `integrate_scan` that moves `last_scan_id`. Every read,
+    of one row or of all, gathers from them; normalization works row by row,
+    so a gathered row has the bits of that row normalized alone. Every read
+    returns a fresh array.
     """
 
     # the per-voxel arrays; row i of each describes one voxel. A map with a
@@ -342,22 +344,10 @@ class VoxelMap:
             cls = self._classes[horizon] = np.argmax(p, axis=-1)
         return cls
 
-    def _log_state(self, rows: np.ndarray, horizon: str) -> np.ndarray:
-        self._check_horizon(horizon)
-        view = self._views.get(horizon)
-        if view is not None:
-            return np.take(view, rows, axis=0)
-        if horizon == "infinite":
-            L = np.take(self._L_inf, rows, axis=0)
-        else:
-            L = np.take(self._ring, rows, axis=0).sum(axis=1)
-        return lb.log_normalize(L, axis=-1)
-
     def distributions(self, rows: np.ndarray, horizon: str = "infinite") -> np.ndarray:
-        """Class distribution (len(rows), C) of each row in `rows`: gathered
-        from the whole-map view when an earlier read built it, else
-        normalized for these rows alone."""
-        return _probs(self._log_state(rows, horizon))
+        """Class distribution (len(rows), C) of each row in `rows`, gathered
+        from the whole-map view."""
+        return _probs(np.take(self._view(horizon), rows, axis=0))
 
     def query_voxel(self, key, horizon: str = "infinite") -> VoxelQuery | None:
         self._check_horizon(horizon)
@@ -381,15 +371,10 @@ class VoxelMap:
         """Class of each row in `rows` (default: every row, in row order):
         the argmax of the voxel's distribution, not of its log state, since
         near-ties can resolve differently after exp. Every row's class is
-        computed once per map state, by the first call without `rows` (or
-        `export_cloud`); until then a call with `rows` classifies only
-        those rows."""
+        computed once per map state, by the first call."""
         if rows is None:
             return self._row_classes(horizon).copy()
-        cls = self._classes.get(horizon)
-        if cls is not None:
-            return np.take(cls, rows)
-        return np.argmax(self.distributions(rows, horizon), axis=-1)
+        return np.take(self._row_classes(horizon), rows)
 
     def lookup_points(self, xyz: np.ndarray, horizon: str = "infinite"):
         """Per-point voxel distribution; returns (probs (N, C), found (N,)).
@@ -416,9 +401,6 @@ class VoxelMap:
                                  frame_id="map")
         _, rows = self.sorted_index()
         probs = _probs(np.take(self._view(horizon), rows, axis=0))
-        if horizon not in self._classes:
-            cls = self._classes[horizon] = np.empty(len(rows), dtype=np.intp)
-            cls[rows] = np.argmax(probs, axis=-1)
         mean = self._pos_sum[rows] / self._n_points[rows][:, None]
         return SemanticCloud(mean, probs, frame_id="map")
 
@@ -458,16 +440,17 @@ class VoxelMap:
                 L = np.take(self._view(horizon), rows, axis=0).astype(np.float32)
                 mean = (self._pos_sum[rows] / self._n_points[rows][:, None]
                         ).astype(np.float32)
-                rec = np.zeros(len(rows), dtype=self._record_dtype())
+                rec = np.zeros(len(rows), dtype=self._record_dtype(self.num_classes))
                 rec["key"] = unpack_keys(self._row_packed[rows]).astype(np.int32)
                 rec["mean"] = mean
                 rec["n_points"] = self._n_points[rows].astype(np.uint32)
                 rec["logp"] = L
                 f.write(rec.tobytes())
 
-    def _record_dtype(self):
+    @staticmethod
+    def _record_dtype(num_classes: int):
         return np.dtype([("key", "<i4", 3), ("mean", "<f4", 3),
-                         ("n_points", "<u4"), ("logp", "<f4", self.num_classes)])
+                         ("n_points", "<u4"), ("logp", "<f4", num_classes)])
 
     @classmethod
     def load(cls, path) -> "VoxelMap":
@@ -478,8 +461,8 @@ class VoxelMap:
         both as its infinite state and as each voxel's one ring scan, so both
         horizons answer with it. New scans integrated afterwards are fused
         into the infinite horizon on top of it, while the finite horizon
-        becomes the newest scan. A malformed snapshot raises
-        InvalidInputError naming the file.
+        becomes the newest scan. A malformed snapshot, or one of more than
+        255 classes, raises InvalidInputError naming the file.
         """
         with open(path, "rb") as f:
             data = f.read()
@@ -501,15 +484,22 @@ class VoxelMap:
         header = json.loads(data[8:end])
         if not isinstance(header, dict):
             raise InvalidInputError("snapshot header is not a JSON object")
-        vm = cls(voxel_size=header["voxel_size"], num_classes=header["num_classes"],
-                 n_horizon=1, labelset_hash=header.get("labelset_hash", ""))
-        dtype = vm._record_dtype()
-        if (len(data) - end) % dtype.itemsize:
-            raise InvalidInputError("truncated snapshot: partial record")
-        rec = np.frombuffer(data, dtype=dtype, offset=end)
-        if len(rec) != header["count"]:
+        # check the header against the file before the map is sized by it
+        C, count = header["num_classes"], header["count"]
+        if type(C) is not int or not 2 <= C <= _MAX_SNAPSHOT_CLASSES:
             raise InvalidInputError(
-                f"truncated snapshot: {len(rec)} of {header['count']} records")
+                f"num_classes must be an integer in [2, {_MAX_SNAPSHOT_CLASSES}], got {C!r}")
+        if type(count) is not int or count < 0:
+            raise InvalidInputError(f"count must be a non-negative integer, got {count!r}")
+        dtype = cls._record_dtype(C)
+        n_rec, partial = divmod(len(data) - end, dtype.itemsize)
+        if partial:
+            raise InvalidInputError("truncated snapshot: partial record")
+        if n_rec != count:
+            raise InvalidInputError(f"truncated snapshot: {n_rec} of {count} records")
+        vm = cls(voxel_size=header["voxel_size"], num_classes=C,
+                 n_horizon=1, labelset_hash=header.get("labelset_hash", ""))
+        rec = np.frombuffer(data, dtype=dtype, offset=end)
         n = rec["n_points"].astype(np.int64)
         mean = rec["mean"].astype(np.float64)
         logp = rec["logp"].astype(np.float64)

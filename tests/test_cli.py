@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -118,7 +119,7 @@ def test_eval_nonzero_exit_on_corrupt_map(log_dir, runner, tmp_path):
 def test_eval_truncated_snapshot_names_the_file(log_dir, runner, tmp_path, cut):
     """A snapshot cut inside its length field, its JSON header or its last
     record fails with one error line naming the file, not a traceback."""
-    data = open(os.path.join(log_dir, "gt_map.svx"), "rb").read()
+    data = pathlib.Path(log_dir, "gt_map.svx").read_bytes()
     bad = tmp_path / "cut.svx"
     bad.write_bytes(data[:cut])
     config = os.path.join(log_dir, "config.json")

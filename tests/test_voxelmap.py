@@ -521,7 +521,7 @@ def saved_snapshot(path, C=3):
     vm.save(path)
     data = path.read_bytes()
     (hlen,) = struct.unpack("<I", data[4:8])
-    rec = np.frombuffer(data[8 + hlen:], dtype=vm._record_dtype()).copy()
+    rec = np.frombuffer(data[8 + hlen:], dtype=vm._record_dtype(vm.num_classes)).copy()
     return data, hlen, json.loads(data[8: 8 + hlen]), rec
 
 
@@ -580,14 +580,28 @@ def test_malformed_snapshot_raises_invalid_input_naming_file(tmp_path, edit, wha
 def test_malformed_header_values_raise_invalid_input_naming_file(tmp_path):
     path = tmp_path / "map.svx"
     data, hlen, header, _ = saved_snapshot(path)
-    for change in ({"voxel_size": float("nan")}, {"voxel_size": "big"},
-                   {"num_classes": 1}, [1, 2]):
+    records = data[8 + hlen:]
+    # a header too wide for any map is refused before a map is sized by it,
+    # with or without records behind it
+    for change, body in (({"voxel_size": float("nan")}, records),
+                         ({"voxel_size": "big"}, records),
+                         ({"num_classes": 1}, records),
+                         ({"num_classes": 3.0}, records),
+                         ({"num_classes": 10**9}, records),
+                         ({"num_classes": 10**9, "count": 0}, b""),
+                         ({"num_classes": 256, "count": 0}, b""),
+                         ({"count": -1}, b""),
+                         ({"count": "3"}, records),
+                         ([1, 2], records)):
         blob = json.dumps(change if isinstance(change, list)
                           else {**header, **change}).encode()
-        path.write_bytes(data[:4] + struct.pack("<I", len(blob)) + blob
-                         + data[8 + hlen:])
+        path.write_bytes(data[:4] + struct.pack("<I", len(blob)) + blob + body)
         with pytest.raises(InvalidInputError, match=str(path)):
             VoxelMap.load(path)
+    # the widest accepted header still loads
+    blob = json.dumps({**header, "num_classes": 255, "count": 0}).encode()
+    path.write_bytes(data[:4] + struct.pack("<I", len(blob)) + blob)
+    assert VoxelMap.load(path).num_classes == 255
 
 
 def test_loaded_map_accepts_new_scans(tmp_path):
@@ -741,7 +755,7 @@ def snapshot_records(path) -> bytes:
 def parent_records(vm, horizon) -> bytes:
     """The records `save` wrote when it normalized the sorted rows alone."""
     _, rows = vm.sorted_index()
-    rec = np.zeros(len(rows), dtype=vm._record_dtype())
+    rec = np.zeros(len(rows), dtype=vm._record_dtype(vm.num_classes))
     rec["key"] = unpack_keys(vm._row_packed[rows]).astype(np.int32)
     rec["mean"] = (vm._pos_sum[rows] / vm._n_points[rows][:, None]).astype(np.float32)
     rec["n_points"] = vm._n_points[rows].astype(np.uint32)
@@ -943,7 +957,7 @@ def test_writing_into_returned_arrays_changes_no_later_read(tmp_path):
                     value[...] = 3 if value.dtype.kind != "b" else False
 
 
-def test_subset_read_without_views_normalizes_only_its_rows(normalized_shapes):
+def test_one_normalization_serves_every_read_of_a_state(normalized_shapes):
     rng = np.random.default_rng(1)
     C = 6
     vm = VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=2)
@@ -954,25 +968,20 @@ def test_subset_read_without_views_normalizes_only_its_rows(normalized_shapes):
     pts = centres[[0, 0, 5, 9, 9, 9]]
     vm.integrate_scan(cloud(centres[:20], rng.dirichlet(np.ones(C), 20)), 2)
     assert len(vm) == V  # the new scan lands inside the map; views are gone
+    # the first read of a horizon, even of a few rows, normalizes every row
+    # once; later reads of any kind gather from that
     del normalized_shapes[:]
-    for horizon in ("infinite", "finite"):
-        vm.distributions(np.array([4, 1, 4]), horizon)
-        vm.voxel_classes(np.array([2, 3]), horizon)
-        vm.query_voxel(vm.keys_array[7], horizon)
-        vm.lookup_points(pts, horizon)
-    assert normalized_shapes == [(3, C), (2, C), (1, C), (3, C)] * 2
-    # a whole-map read normalizes every row once; later reads gather
-    del normalized_shapes[:]
-    vm.voxel_classes()
-    vm.save(os.devnull)
-    vm.export_cloud()
-    vm.per_class_voxel_counts()
     vm.distributions(np.array([4, 1, 4]))
     vm.voxel_classes(np.array([2, 3]))
     vm.query_voxel(vm.keys_array[7])
     vm.lookup_points(pts)
+    vm.voxel_classes()
+    vm.save(os.devnull)
+    vm.export_cloud()
+    vm.per_class_voxel_counts()
     assert normalized_shapes == [(V, C)]
     # each horizon has its own view
+    vm.query_voxel(vm.keys_array[7], "finite")
     vm.export_cloud("finite")
     vm.lookup_points(pts, "finite")
     assert normalized_shapes == [(V, C), (V, C)]
