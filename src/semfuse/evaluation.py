@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import CameraModel, Pose, apply, invert, project_pinhole
-from .labels import InvalidInputError, LabelSet
+from .labels import LabelSet
 from .voxelmap import VoxelMap
 
 
@@ -104,14 +104,6 @@ def accumulate_scan_vs_map(acc: ConfusionAccumulator, cloud, reference: VoxelMap
     Points outside the frustum (when given) or in never-observed reference
     voxels are excluded; unknown-class reference voxels are skipped.
     """
-    _accumulate(acc, cloud, reference, labelset, restrict, reference.voxel_classes)
-
-
-def _accumulate(acc: ConfusionAccumulator, cloud, reference: VoxelMap,
-                labelset: LabelSet, restrict: CameraFrustum | None,
-                classes_of) -> None:
-    """`accumulate_scan_vs_map`, with `classes_of(rows)` giving the
-    reference class of each row in `rows`."""
     _check_labelset(cloud.probs.shape[-1], reference.num_classes)
     _check_labelset(acc.num_classes, reference.num_classes)
     xyz = np.asarray(cloud.xyz, dtype=np.float64)
@@ -121,7 +113,7 @@ def _accumulate(acc: ConfusionAccumulator, cloud, reference: VoxelMap,
         keep &= restrict.contains(xyz)
     # argmax before the mask: no (N, C) copy of the kept rows
     pred = np.argmax(cloud.probs, axis=-1)[keep]
-    ref = classes_of(rows[keep])
+    ref = reference.voxel_classes(rows[keep])
     unknown = labelset.unknown_index
     if unknown is not None:
         known = ref != unknown
@@ -134,10 +126,8 @@ def iou_scan_vs_map(clouds, reference: VoxelMap, labelset: LabelSet,
     if not isinstance(clouds, (list, tuple)):
         clouds = [clouds]
     acc = ConfusionAccumulator(reference.num_classes)
-    # every reference voxel classified once for all clouds
-    ref_cls = reference.voxel_classes()
     for cloud in clouds:
-        _accumulate(acc, cloud, reference, labelset, restrict, ref_cls.take)
+        accumulate_scan_vs_map(acc, cloud, reference, labelset, restrict)
     return IoUResult(acc.iou(), labelset, restricted_fov=restrict is not None)
 
 
@@ -156,8 +146,8 @@ def iou_map_vs_map(pred: VoxelMap, reference: VoxelMap,
     # in_pred[i] and in_ref[i] index the same voxel in the two key arrays
     _, in_pred, in_ref = np.intersect1d(pred_keys, ref_keys, assume_unique=True,
                                         return_indices=True)
-    p_cls = pred.voxel_classes()[pred_rows]
-    r_cls = reference.voxel_classes()[ref_rows]
+    p_cls = pred.voxel_classes(pred_rows)
+    r_cls = reference.voxel_classes(ref_rows)
 
     p_both, r_both = p_cls[in_pred], r_cls[in_ref]
     if unknown is not None:

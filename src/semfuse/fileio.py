@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import Detection, SegmentationFrame
+from .fusion import Detection, SegmentationFrame, SemanticCloud
 from .geometry import CameraModel, Pose, SphericalModel, Trajectory
 from .labels import InvalidInputError
 
@@ -261,7 +261,6 @@ def save_semantic_cloud(path, cloud, labelset_hash: str = "") -> None:
 
 
 def load_semantic_cloud(path):
-    from .fusion import SemanticCloud
     with _read_npz(path) as z:
         cloud = SemanticCloud(
             xyz=_finite(z, "xyz", path),

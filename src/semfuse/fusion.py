@@ -180,17 +180,10 @@ def fuse_cloud(xyz: np.ndarray, t_scan: float,
     for view in views:
         if view.frame.probs.shape[-1] != num_classes:
             raise InvalidInputError("segmentation frame class count mismatch")
-        p_cam = lidar_to_camera(xyz, t_scan, view.t, traj, view.cam, T_base_lidar) \
-            if n else xyz
-        if n == 0:
-            projections.append((np.zeros(0), np.zeros(0), np.zeros(0),
-                                np.zeros(0, dtype=bool)))
-            continue
+        p_cam = lidar_to_camera(xyz, t_scan, view.t, traj, view.cam, T_base_lidar)
         u, v, inside = project_pinhole(p_cam, view.cam)
         projections.append((u, v, p_cam[:, 2], inside))
         idx = np.flatnonzero(inside)
-        if len(idx) == 0:
-            continue
         img_p, _ = sample_bilinear(view.frame.probs, u[idx], v[idx])
         img_p /= img_p.sum(axis=-1, keepdims=True)
         probs[idx] = lb.bayes_fuse(np.take(probs, idx, axis=0), img_p)
@@ -239,8 +232,6 @@ def warp_previous_frame(prev: SegmentationFrame, T_cur_prev: np.ndarray,
     u, v, valid = project_pinhole(cur, cam)
     warped = np.zeros_like(prev.probs)
     mask = np.zeros((H, W), dtype=bool)
-    if not np.any(valid):
-        return warped, mask
     ui = np.clip(np.round(u[valid]).astype(int), 0, W - 1)
     vi = np.clip(np.round(v[valid]).astype(int), 0, H - 1)
     src = prev.probs[ok][valid]

@@ -50,10 +50,6 @@ class Pose:
         return T
 
     @classmethod
-    def identity(cls, t: float = 0.0) -> "Pose":
-        return cls(t, np.zeros(3), np.array([1.0, 0, 0, 0]))
-
-    @classmethod
     def from_matrix(cls, T: np.ndarray, t: float = 0.0) -> "Pose":
         rot = Rotation.from_matrix(T[:3, :3])
         return cls(t, T[:3, 3].copy(), rotation_to_quat_wxyz(rot))
@@ -340,12 +336,8 @@ def render_range_image(points: np.ndarray, model: SphericalModel) -> RangeImage:
     img = RangeImage.empty(model)
     H, W = model.height, model.width
     img.cell_index = np.full((H, W), -1, dtype=np.int64)
-    if len(points) == 0:
-        return img
     u, v, r, valid = project_spherical(points, model)
     idx = np.nonzero(valid)[0]
-    if len(idx) == 0:
-        return img
     ui = np.clip(u[idx].astype(int), 0, W - 1)
     vi = v[idx].astype(int)
     r = r[idx]
@@ -359,6 +351,5 @@ def render_range_image(points: np.ndarray, model: SphericalModel) -> RangeImage:
 def render_virtual_scan(cloud_xyz: np.ndarray, viewpoint: Pose,
                         model: SphericalModel) -> RangeImage:
     """Render world-frame points into a virtual spherical view at `viewpoint`."""
-    local = apply(invert(viewpoint.matrix()), cloud_xyz) if len(cloud_xyz) else cloud_xyz
-    return render_range_image(np.atleast_2d(local) if len(cloud_xyz) else np.zeros((0, 3)),
-                              model)
+    local = apply(invert(viewpoint.matrix()), np.reshape(cloud_xyz, (-1, 3)))
+    return render_range_image(local, model)

@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (Pose, RangeImage, SphericalModel, apply, invert,
-                       render_range_image)
+from .geometry import (Pose, RangeImage, SphericalModel, apply,
+                       render_range_image, render_virtual_scan)
 from .labels import GROUND_CLASS_NAMES, InvalidInputError, LabelSet
 from .voxelmap import VoxelMap
 
@@ -42,7 +42,7 @@ class ScanRecord:
     timestamp: float = 0.0
 
     def world_xyz(self) -> np.ndarray:
-        return apply(self.pose.matrix(), self.xyz) if len(self.xyz) else self.xyz
+        return apply(self.pose.matrix(), self.xyz)
 
 
 @dataclass
@@ -89,12 +89,11 @@ def _image_from_render(img: RangeImage, cls: np.ndarray, conf: np.ndarray,
     classes = np.full((H, W), UNLABELED, dtype=np.uint8)
     confidence = np.zeros((H, W))
     hit = img.cell_index >= 0
-    if np.any(hit):
-        src = img.cell_index[hit]
-        confidence[hit] = conf[src]
-        keep = confidence[hit] >= threshold
-        flat = np.nonzero(hit.reshape(-1))[0][keep]
-        classes.reshape(-1)[flat] = cls[src[keep]]
+    src = img.cell_index[hit]
+    confidence[hit] = conf[src]
+    keep = confidence[hit] >= threshold
+    flat = np.nonzero(hit.reshape(-1))[0][keep]
+    classes.reshape(-1)[flat] = cls[src[keep]]
     confidence[classes == UNLABELED] = 0.0
     return PseudoLabelImage(classes, confidence, provenance, viewpoint, img.model,
                             scan_id=scan_id, threshold=threshold,
@@ -152,8 +151,7 @@ def generate_pseudolabels(vmap: VoxelMap, scans: list[ScanRecord],
         parts = [static] + [dyn_by_scan[other.scan_id] for other in scans
                             if abs(other.scan_id - scan.scan_id) <= policy.window]
         world, cls, conf = (np.concatenate(p) for p in zip(*parts))
-        local = apply(invert(scan.pose.matrix()), world) if len(world) else world
-        img = render_range_image(local, model)
+        img = render_virtual_scan(world, scan.pose, model)
         out.append(_image_from_render(img, cls, conf, threshold, provenance,
                                       scan.pose, scan.scan_id))
     return out
@@ -231,9 +229,7 @@ def ground_plane_correction(img: PseudoLabelImage, labelset: LabelSet,
     reset = on_plane & non_ground
     classes[reset] = UNLABELED
     conf[reset] = 0.0
-    return PseudoLabelImage(classes, conf, img.provenance, img.viewpoint,
-                            img.model, scan_id=img.scan_id,
-                            threshold=img.threshold, xyz=img.xyz, range=img.range)
+    return replace(img, classes=classes, confidence=conf)
 
 
 def export_training_pair(scan_image: RangeImage, label_img: PseudoLabelImage,

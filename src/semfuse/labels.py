@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,10 +197,16 @@ def log_from_prob(p: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(np.asarray(p, dtype=np.float64), EPS_FLOOR))
 
 
+def exp_normalized(Ln: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Distributions from normalized log states, in place: exp, then divide
+    by the sum along `axis` so that rounding leaves each one summing to 1."""
+    np.exp(Ln, out=Ln)
+    Ln /= Ln.sum(axis=axis, keepdims=True)
+    return Ln
+
+
 def prob_from_log(L: np.ndarray, axis: int = -1) -> np.ndarray:
-    Ln = log_normalize(L, axis=axis)
-    p = np.exp(Ln)
-    return p / p.sum(axis=axis, keepdims=True)
+    return exp_normalized(log_normalize(L, axis=axis), axis=axis)
 
 
 def argmax_class(values: np.ndarray, axis: int = -1) -> np.ndarray | int:

@@ -10,22 +10,23 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import fileio, labelprop
-from .evaluation import (CameraFrustum, ConfigurationError, IoUResult,
-                         iou_map_vs_map, iou_scan_vs_map)
+from . import fileio
+from .evaluation import (CameraFrustum, ConfigurationError, ConfusionAccumulator,
+                         IoUResult, accumulate_scan_vs_map, iou_map_vs_map,
+                         iou_scan_vs_map)
 from .fusion import (CameraView, SegmentationFrame, SemanticCloud, class_alphas,
                      fuse_cloud, smooth_and_fuse_image)
-from .geometry import (Pose, SphericalModel, Trajectory, apply, invert,
-                       render_range_image)
+from .geometry import (CameraModel, Pose, SphericalModel, Trajectory, apply,
+                       invert, render_range_image)
 from .labelprop import (ScanRecord, ScanWindowPolicy, export_training_pair,
                         generate_pseudolabels, ground_plane_correction)
 from .labels import LabelSet, softmax
 from .synth import (NoiseSpec, forward_camera_extrinsic, load_scene,
-                    scene_from_spec, simulate_detections, simulate_scan,
+                    observed_probs, simulate_detections, simulate_scan,
                     simulate_segmentation)
 from .voxelmap import VoxelMap
 
@@ -100,7 +101,6 @@ def generate_log(scene_path: str, out_dir: str, seed: int = 0,
                            f_down=np.deg2rad(lid["f_down_deg"]),
                            r_max=lid["r_max_m"])
     camc = sensors["camera"]
-    from .geometry import CameraModel
     cam = CameraModel(fx=camc["fx"], fy=camc["fy"], cx=camc["cx"], cy=camc["cy"],
                       width=camc["width"], height=camc["height"],
                       T_cam_base=forward_camera_extrinsic())
@@ -147,15 +147,7 @@ def generate_log(scene_path: str, out_dir: str, seed: int = 0,
         xyz = img.xyz[valid].astype(np.float32).astype(np.float64)
         gt_cls = gt_grid[valid]
         intensity = img.intensity[valid]
-        # observed LiDAR CNN stand-in: flips + sharp softmax over one-hot
-        observed = gt_cls.copy()
-        if lidar_noise.label_flip_rate > 0:
-            flip = rng.random(len(observed)) < lidar_noise.label_flip_rate
-            shift = rng.integers(1, C, size=len(observed))
-            observed = np.where(flip, (observed + shift) % C, observed)
-        scores = np.zeros((len(observed), C))
-        scores[np.arange(len(observed)), observed] = lidar_noise.score_temperature
-        lidar_probs = softmax(scores)
+        lidar_probs = observed_probs(gt_cls, C, lidar_noise, rng)
         fileio.save_scan(os.path.join(scans_dir, f"scan_{i:04d}.npz"),
                          xyz, intensity, t, i, lidar_probs=lidar_probs,
                          gt_class=gt_cls, labelset_hash=ls_hash)
@@ -368,7 +360,6 @@ def run_eval(cfg: RunConfig, pred: str, reference: str,
         if camera_fov:
             calib = fileio.load_calibration(cfg.calibration)
             traj = fileio.load_trajectory(cfg.trajectory)
-            from .evaluation import ConfusionAccumulator, accumulate_scan_vs_map
             acc = ConfusionAccumulator(ref_map.num_classes)
             for cloud in clouds:
                 pose_cam = Pose.from_matrix(
@@ -391,7 +382,6 @@ def run_eval(cfg: RunConfig, pred: str, reference: str,
 def run_bench(seed: int = 0, repeats: int = 5,
               scan_shape=(128, 1024), frame_shape=(480, 848)) -> dict:
     """Throughput of the hot paths on a standard synthetic workload."""
-    from .geometry import CameraModel
     rng = np.random.default_rng(seed)
     labelset = LabelSet.default()
     C = labelset.num_classes

@@ -205,13 +205,12 @@ def simulate_scan(scene: Scene, pose: Pose, model: SphericalModel,
     return img, gt
 
 
-def classes_to_frame(gt: np.ndarray, num_classes: int, noise: NoiseSpec,
-                     rng: np.random.Generator, background: int,
-                     depth: np.ndarray | None = None,
-                     timestamp: float = 0.0) -> SegmentationFrame:
-    """Observed probability grid from a ground-truth class grid: labels flip
-    at the configured rate, then sharp softmax of a scaled one-hot."""
-    observed = np.where(gt == MISS, background, gt)
+def observed_probs(gt: np.ndarray, num_classes: int, noise: NoiseSpec,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Segmentation-network stand-in: class distributions (..., C) from
+    ground-truth classes of any shape. Labels flip at the configured rate,
+    then a sharp softmax of a scaled one-hot."""
+    observed = gt
     if noise.label_flip_rate > 0:
         flip = rng.random(observed.shape) < noise.label_flip_rate
         # flips draw uniformly from the other classes
@@ -219,7 +218,17 @@ def classes_to_frame(gt: np.ndarray, num_classes: int, noise: NoiseSpec,
         observed = np.where(flip, (observed + shift) % num_classes, observed)
     scores = np.zeros(observed.shape + (num_classes,))
     np.put_along_axis(scores, observed[..., None], noise.score_temperature, axis=-1)
-    return SegmentationFrame(softmax(scores), depth=depth, timestamp=timestamp)
+    return softmax(scores)
+
+
+def classes_to_frame(gt: np.ndarray, num_classes: int, noise: NoiseSpec,
+                     rng: np.random.Generator, background: int,
+                     depth: np.ndarray | None = None,
+                     timestamp: float = 0.0) -> SegmentationFrame:
+    """Observed probability grid from a ground-truth class grid, with
+    `background` for pixels that hit nothing."""
+    probs = observed_probs(np.where(gt == MISS, background, gt), num_classes, noise, rng)
+    return SegmentationFrame(probs, depth=depth, timestamp=timestamp)
 
 
 def simulate_segmentation(scene: Scene, pose_cam: Pose, cam: CameraModel,

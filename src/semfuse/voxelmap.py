@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import labels as lb
+from .fusion import SemanticCloud
 from .labels import InvalidInputError
 
 SNAPSHOT_MAGIC = b"SFVX"
@@ -340,14 +341,14 @@ class VoxelMap:
         """Class of every row, in row order, kept like `_view`."""
         cls = self._classes.get(horizon)
         if cls is None:
-            p = _probs(self._view(horizon).copy())
+            p = lb.exp_normalized(self._view(horizon).copy())
             cls = self._classes[horizon] = np.argmax(p, axis=-1)
         return cls
 
     def distributions(self, rows: np.ndarray, horizon: str = "infinite") -> np.ndarray:
         """Class distribution (len(rows), C) of each row in `rows`, gathered
         from the whole-map view."""
-        return _probs(np.take(self._view(horizon), rows, axis=0))
+        return lb.exp_normalized(np.take(self._view(horizon), rows, axis=0))
 
     def query_voxel(self, key, horizon: str = "infinite") -> VoxelQuery | None:
         self._check_horizon(horizon)
@@ -383,24 +384,16 @@ class VoxelMap:
         Callers that need only each point's class read `rows_for_points`
         and `voxel_classes` instead of gathering (N, C) rows.
         """
-        self._check_horizon(horizon)
         rows = self.rows_for_points(xyz)
         found = rows >= 0
         probs = np.full((len(rows), self.num_classes), 1.0 / self.num_classes)
-        # normalize each hit voxel once, however many points share it
-        hit_rows, inv = np.unique(rows[found], return_inverse=True)
-        probs[found] = self.distributions(hit_rows, horizon)[inv]
+        probs[found] = self.distributions(rows[found], horizon)
         return probs, found
 
     def export_cloud(self, horizon: str = "infinite"):
         """One point per voxel at its mean position, deterministic key order."""
-        from .fusion import SemanticCloud
-        self._check_horizon(horizon)
-        if self._size == 0:
-            return SemanticCloud(np.zeros((0, 3)), np.zeros((0, self.num_classes)),
-                                 frame_id="map")
         _, rows = self.sorted_index()
-        probs = _probs(np.take(self._view(horizon), rows, axis=0))
+        probs = self.distributions(rows, horizon)
         mean = self._pos_sum[rows] / self._n_points[rows][:, None]
         return SemanticCloud(mean, probs, frame_id="map")
 
@@ -435,17 +428,16 @@ class VoxelMap:
             blob = json.dumps(header).encode()
             f.write(struct.pack("<I", len(blob)))
             f.write(blob)
-            if self._size:
-                _, rows = self.sorted_index()
-                L = np.take(self._view(horizon), rows, axis=0).astype(np.float32)
-                mean = (self._pos_sum[rows] / self._n_points[rows][:, None]
-                        ).astype(np.float32)
-                rec = np.zeros(len(rows), dtype=self._record_dtype(self.num_classes))
-                rec["key"] = unpack_keys(self._row_packed[rows]).astype(np.int32)
-                rec["mean"] = mean
-                rec["n_points"] = self._n_points[rows].astype(np.uint32)
-                rec["logp"] = L
-                f.write(rec.tobytes())
+            _, rows = self.sorted_index()
+            L = np.take(self._view(horizon), rows, axis=0).astype(np.float32)
+            mean = (self._pos_sum[rows] / self._n_points[rows][:, None]
+                    ).astype(np.float32)
+            rec = np.zeros(len(rows), dtype=self._record_dtype(self.num_classes))
+            rec["key"] = unpack_keys(self._row_packed[rows]).astype(np.int32)
+            rec["mean"] = mean
+            rec["n_points"] = self._n_points[rows].astype(np.uint32)
+            rec["logp"] = L
+            f.write(rec.tobytes())
 
     @staticmethod
     def _record_dtype(num_classes: int):
@@ -528,10 +520,3 @@ class VoxelMap:
                     f"duplicate voxel key {unpack_keys(vm._sorted_packed[np.argmax(dup)])}")
         vm._size = len(rec)
         return vm
-
-
-def _probs(L: np.ndarray) -> np.ndarray:
-    """Distributions from normalized log states (n, C), in place."""
-    np.exp(L, out=L)
-    L /= L.sum(axis=-1, keepdims=True)
-    return L

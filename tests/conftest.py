@@ -23,6 +23,17 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(42)
 
 
+def assert_blank_range_image(img, model):
+    """A range image with no valid cell: every field at its fill value."""
+    H, W = model.height, model.width
+    assert img.range.dtype == np.float64 and img.range.shape == (H, W)
+    assert (img.range == -1.0).all()
+    assert img.xyz.dtype == np.float64 and img.xyz.shape == (H, W, 3)
+    assert not img.xyz.any()
+    assert img.cell_index.dtype == np.int64 and (img.cell_index == -1).all()
+    assert img.intensity is None
+
+
 # --- the per-row read computation, kept as an oracle --------------------------
 # Before reads shared a whole-map view, every read of a VoxelMap normalized
 # the rows it read on their own. These helpers keep that computation, from

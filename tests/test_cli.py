@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from semfuse import fileio
 from semfuse.cli import main
+from semfuse.evaluation import (CameraFrustum, ConfusionAccumulator, IoUResult,
+                                accumulate_scan_vs_map, format_report,
+                                iou_scan_vs_map)
+from semfuse.geometry import Pose, invert
+from semfuse.labelprop import (generate_pseudolabels, ground_plane_correction,
+                               load_training_pair)
+from semfuse.labels import LabelSet
+from semfuse.runner import RunConfig, load_scan_records
+from semfuse.voxelmap import VoxelMap
 from tests.conftest import scene_path
 
 
@@ -26,8 +36,24 @@ def log_dir(tmp_path_factory, runner):
     return out
 
 
+def read_json(*path):
+    return json.loads(pathlib.Path(*path).read_text())
+
+
+@pytest.fixture(scope="module")
+def camonly_dir(tmp_path_factory, runner, log_dir):
+    """Camera-only clouds of the shared log and their map, made through the
+    CLI once for the tests below."""
+    out = str(tmp_path_factory.mktemp("cam"))
+    config = os.path.join(log_dir, "config.json")
+    for args in (["fuse", "--camera-only"], ["map"]):
+        res = runner.invoke(main, args + ["--config", config, "--output-dir", out])
+        assert res.exit_code == 0, res.output
+    return out
+
+
 def test_synth_writes_complete_log(log_dir):
-    meta = json.load(open(os.path.join(log_dir, "meta.json")))
+    meta = read_json(log_dir, "meta.json")
     assert meta["n_scans"] == 3
     for name in ("calibration.json", "trajectory.csv", "detections.jsonl",
                  "labelset.json", "gt_map.svx", "config.json"):
@@ -43,10 +69,10 @@ def test_synth_deterministic(tmp_path, runner):
                                    scene_path("person_wall"),
                                    "--out", out, "--seed", "3"])
         assert res.exit_code == 0, res.output
-    fa = np.load(os.path.join(a, "scans", "scan_0000.npz"))
-    fb = np.load(os.path.join(b, "scans", "scan_0000.npz"))
-    np.testing.assert_array_equal(fa["xyz"], fb["xyz"])
-    np.testing.assert_array_equal(fa["lidar_probs"], fb["lidar_probs"])
+    with np.load(os.path.join(a, "scans", "scan_0000.npz")) as fa, \
+            np.load(os.path.join(b, "scans", "scan_0000.npz")) as fb:
+        np.testing.assert_array_equal(fa["xyz"], fb["xyz"])
+        np.testing.assert_array_equal(fa["lidar_probs"], fb["lidar_probs"])
 
 
 def test_fuse_map_eval_pseudolabel_pipeline(log_dir, runner, tmp_path):
@@ -74,7 +100,7 @@ def test_fuse_map_eval_pseudolabel_pipeline(log_dir, runner, tmp_path):
                                "--ref", gt_map, "--json", json_out])
     assert res.exit_code == 0, res.output
     assert "mean" in res.output
-    data = json.load(open(json_out))
+    data = read_json(json_out)
     assert data["mean"] == pytest.approx(1.0)
     assert all(v == pytest.approx(1.0) for v in data["per_class"].values())
 
@@ -98,7 +124,7 @@ def test_fuse_map_eval_pseudolabel_pipeline(log_dir, runner, tmp_path):
 
 def test_fuse_nonzero_exit_on_bad_calibration(log_dir, runner, tmp_path):
     bad = tmp_path / "config.json"
-    cfg = json.load(open(os.path.join(log_dir, "config.json")))
+    cfg = read_json(log_dir, "config.json")
     cfg["calibration"] = "missing.json"
     bad.write_text(json.dumps(cfg))
     # paths resolve against the config file, so copy-level paths break
@@ -130,6 +156,106 @@ def test_eval_truncated_snapshot_names_the_file(log_dir, runner, tmp_path, cut):
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert f"error: {bad}: " in res.output
         assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("camera_fov", [False, True])
+def test_eval_clouds_dir_matches_library(log_dir, camonly_dir, runner, tmp_path,
+                                         camera_fov):
+    """`eval --pred <clouds dir>` scores each cloud's points against the
+    reference map, with --camera-fov only those inside the camera frustum
+    at the cloud's time; the report equals the library's."""
+    config = os.path.join(log_dir, "config.json")
+    clouds_dir = os.path.join(camonly_dir, "clouds")
+    gt_path = os.path.join(log_dir, "gt_map.svx")
+    json_out = tmp_path / "iou.json"
+    res = runner.invoke(main, ["eval", "--config", config, "--pred", clouds_dir,
+                               "--ref", gt_path, "--json", str(json_out)]
+                        + (["--camera-fov"] if camera_fov else []))
+    assert res.exit_code == 0, res.output
+
+    labelset = LabelSet.load(os.path.join(log_dir, "labelset.json"))
+    ref = VoxelMap.load(gt_path)
+    clouds = [fileio.load_semantic_cloud(p)[0]
+              for p in fileio.list_sorted(clouds_dir, ".npz")]
+    if camera_fov:
+        cfg = RunConfig.load(config)
+        cam = fileio.load_calibration(cfg.calibration).camera
+        traj = fileio.load_trajectory(cfg.trajectory)
+        acc = ConfusionAccumulator(ref.num_classes)
+        for cloud in clouds:
+            world_T_cam = Pose.from_matrix(
+                traj.interpolate(cloud.timestamp).matrix() @ invert(cam.T_cam_base))
+            accumulate_scan_vs_map(acc, cloud, ref, labelset,
+                                   CameraFrustum(cam, world_T_cam))
+        expected = IoUResult(acc.iou(), labelset, restricted_fov=True)
+    else:
+        expected = iou_scan_vs_map(clouds, ref, labelset)
+    assert read_json(json_out) == expected.as_dict()
+    assert res.output == format_report(expected) + "\n"
+
+
+def test_eval_camera_fov_restricts_the_points(log_dir, camonly_dir, runner, tmp_path):
+    config = os.path.join(log_dir, "config.json")
+    args = ["eval", "--config", config, "--pred", os.path.join(camonly_dir, "clouds"),
+            "--ref", os.path.join(log_dir, "gt_map.svx")]
+    reports = []
+    for extra in ([], ["--camera-fov"]):
+        json_out = str(tmp_path / f"iou{len(extra)}.json")
+        res = runner.invoke(main, args + extra + ["--json", json_out])
+        assert res.exit_code == 0, res.output
+        reports.append(read_json(json_out))
+    assert [r["restricted_fov"] for r in reports] == [False, True]
+    assert reports[0]["per_class"] != reports[1]["per_class"]
+
+
+def test_pseudolabel_ground_correction_matches_library(log_dir, camonly_dir, runner,
+                                                       tmp_path):
+    config = os.path.join(log_dir, "config.json")
+    map_path = os.path.join(camonly_dir, "map.svx")
+    out = str(tmp_path / "pl")
+    res = runner.invoke(main, ["pseudolabel", "--config", config, "--output-dir", out,
+                               "--map", map_path, "--ground-correction"])
+    assert res.exit_code == 0, res.output
+
+    cfg = RunConfig.load(config)
+    labelset = cfg.load_labelset()
+    calib = fileio.load_calibration(cfg.calibration)
+    records = load_scan_records(cfg, calib, fileio.load_trajectory(cfg.trajectory))
+    images = generate_pseudolabels(VoxelMap.load(map_path), records, labelset,
+                                   calib.lidar_model)
+    reset = 0
+    for rec, img in zip(records, images):
+        corrected = ground_plane_correction(img, labelset)
+        reset += int((corrected.classes != img.classes).sum())
+        _, classes, _ = load_training_pair(
+            os.path.join(out, "pseudolabels", f"sample_{rec.scan_id:04d}"))
+        np.testing.assert_array_equal(classes, corrected.classes)
+    assert reset > 0
+    assert json.loads(res.output)["labeled_cells"] == sum(
+        int(ground_plane_correction(img, labelset).labeled.sum()) for img in images)
+
+
+def test_map_nonzero_exit_names_corrupt_cloud(log_dir, runner, tmp_path):
+    clouds = tmp_path / "clouds"
+    clouds.mkdir()
+    bad = clouds / "scan_0000.npz"
+    bad.write_bytes(b"not an npz archive")
+    res = runner.invoke(main, ["map", "--config", os.path.join(log_dir, "config.json"),
+                               "--clouds", str(clouds), "--output-dir", str(tmp_path)])
+    assert res.exit_code == 1
+    assert res.output.startswith(f"error: {bad}: ")
+    assert not (tmp_path / "map.svx").exists()
+
+
+def test_pseudolabel_nonzero_exit_names_corrupt_map(log_dir, runner, tmp_path):
+    bad = tmp_path / "bad.svx"
+    bad.write_bytes(pathlib.Path(log_dir, "gt_map.svx").read_bytes()[:-10])
+    res = runner.invoke(main, ["pseudolabel", "--config",
+                               os.path.join(log_dir, "config.json"),
+                               "--output-dir", str(tmp_path), "--map", str(bad)])
+    assert res.exit_code == 1
+    assert res.output.startswith(f"error: {bad}: ")
+    assert not (tmp_path / "pseudolabels").exists()
 
 
 def test_bench_smoke(runner):

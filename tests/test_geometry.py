@@ -11,6 +11,7 @@ from semfuse.geometry import (CameraModel, OutOfRangeError, Pose, RangeImage,
                               sample_bilinear,
                               spherical_ray_directions, unproject_spherical)
 from semfuse.labels import InvalidInputError
+from tests.conftest import assert_blank_range_image
 
 IDENTITY_Q = np.array([1.0, 0, 0, 0])
 
@@ -324,16 +325,15 @@ def test_nearest_per_cell_matches_loop_oracle(rng):
 
 def test_render_range_image_out_of_range_invalid():
     model = SphericalModel(width=64, height=16, r_max=50.0)
-    d = spherical_ray_directions(model)[8, 32]
-    img = render_range_image(np.array([60.0 * d]), model)
-    assert not img.valid.any()
+    d = spherical_ray_directions(model)[::4, ::8].reshape(-1, 3)
+    img = render_range_image(60.0 * d, model)
+    assert_blank_range_image(img, model)
 
 
 def test_render_range_image_empty():
     model = SphericalModel(width=64, height=16)
     img = render_range_image(np.zeros((0, 3)), model)
-    assert not img.valid.any()
-    assert (img.cell_index == -1).all()
+    assert_blank_range_image(img, model)
 
 
 def test_render_virtual_scan_respects_viewpoint():

@@ -173,6 +173,17 @@ def test_log_prob_round_trip(p):
     np.testing.assert_allclose(prob_from_log(log_from_prob(p)), p, atol=1e-9)
 
 
+@pytest.mark.parametrize("axis", [-1, 0])
+def test_prob_from_log_bits_and_exp_normalized_in_place(rng, axis):
+    L = rng.normal(0, 20, size=(40, 7))
+    Ln = log_normalize(L, axis=axis)
+    p = np.exp(Ln)
+    expected = p / p.sum(axis=axis, keepdims=True)
+    assert np.array_equal(prob_from_log(L, axis=axis), expected)
+    out = lb.exp_normalized(Ln, axis=axis)
+    assert out is Ln and np.array_equal(out, expected)
+
+
 def test_log_from_prob_clamps_zero():
     out = log_from_prob(np.array([1.0, 0.0]))
     assert np.all(np.isfinite(out))

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from semfuse.geometry import CameraModel, Pose, SphericalModel
-from semfuse.labels import InvalidInputError
+from semfuse.labels import InvalidInputError, softmax
 from semfuse.synth import (MISS, NoiseSpec, Primitive, Scene,
                            classes_to_frame, forward_camera_extrinsic,
-                           load_scene, scene_from_spec, simulate_detections,
-                           simulate_scan, simulate_segmentation)
+                           load_scene, observed_probs, scene_from_spec,
+                           simulate_detections, simulate_scan,
+                           simulate_segmentation)
 from tests.conftest import scene_path
 
 IDENTITY_Q = np.array([1.0, 0, 0, 0])
@@ -171,6 +172,27 @@ def test_classes_to_frame_flip_rate_three_sigma():
     n = gt.size
     sigma = np.sqrt(rate * (1 - rate) / n)
     assert abs(flipped - rate) < 3 * sigma + 1e-9
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_observed_probs_matches_per_point_lidar_oracle(rate):
+    """One network stand-in serves LiDAR points and camera pixels. On a 1-D
+    class array it makes the draws, in the order, of the per-point formula
+    that synthesized LiDAR logs used before, so logs stay byte-identical."""
+    C, noise = 6, NoiseSpec(label_flip_rate=rate, score_temperature=5.0)
+    gt = np.random.default_rng(0).integers(0, C, size=500)
+    rng = np.random.default_rng(7)
+    observed = gt.copy()
+    if rate > 0:
+        flip = rng.random(len(observed)) < rate
+        shift = rng.integers(1, C, size=len(observed))
+        observed = np.where(flip, (observed + shift) % C, observed)
+    scores = np.zeros((len(observed), C))
+    scores[np.arange(len(observed)), observed] = noise.score_temperature
+    rng_new = np.random.default_rng(7)
+    out = observed_probs(gt, C, noise, rng_new)
+    assert np.array_equal(out, softmax(scores))
+    assert rng_new.random() == rng.random()
 
 
 def test_segmentation_depth_and_gt(labelset):
