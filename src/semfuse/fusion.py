@@ -215,8 +215,10 @@ def warp_previous_frame(prev: SegmentationFrame, T_cur_prev: np.ndarray,
                         cam: CameraModel):
     """Forward-warp the previous frame into the current one via its depth.
 
-    Returns (warped probs (H, W, C), valid mask); pixels without a projected
-    correspondence are invalid.
+    Returns (pixels, probs): the flat indices (row-major, ascending) of the
+    current frame's pixels that receive a projected correspondence, and the
+    (len(pixels), C) distribution each one takes from the previous frame.
+    Every other pixel has no correspondence.
     """
     if prev.depth is None:
         raise InvalidInputError("temporal smoothing requires depth on the previous frame")
@@ -230,17 +232,15 @@ def warp_previous_frame(prev: SegmentationFrame, T_cur_prev: np.ndarray,
                     z], axis=-1)
     cur = pts @ T_cur_prev[:3, :3].T + T_cur_prev[:3, 3]
     u, v, valid = project_pinhole(cur, cam)
-    warped = np.zeros_like(prev.probs)
-    mask = np.zeros((H, W), dtype=bool)
     ui = np.clip(np.round(u[valid]).astype(int), 0, W - 1)
     vi = np.clip(np.round(v[valid]).astype(int), 0, H - 1)
-    src = prev.probs[ok][valid]
     depth_new = cur[valid, 2]
     # nearest surface wins per target pixel, the latest one among equal depths
     pixels, win = nearest_per_cell(vi * W + ui, depth_new, H * W)
-    warped.reshape(-1, warped.shape[-1])[pixels] = src[win]
-    mask.reshape(-1)[pixels] = True
-    return warped, mask
+    # only the winners' source rows are gathered
+    src = np.flatnonzero(ok)[valid][win]
+    probs = prev.probs.reshape(-1, prev.probs.shape[-1])
+    return pixels, np.take(probs, src, axis=0)
 
 
 def smooth_and_fuse_image(current: SegmentationFrame,
@@ -254,17 +254,22 @@ def smooth_and_fuse_image(current: SegmentationFrame,
     alphas = np.asarray(alphas, dtype=np.float64)
     if np.any(alphas <= 0) or np.any(alphas > 1):
         raise InvalidInputError("alphas must lie in (0, 1]")
-    cur = np.asarray(current.probs, dtype=np.float64)
-    if previous_fused is None:
-        smoothed = cur.copy()
-    else:
-        T = np.eye(4) if T_cur_prev is None else T_cur_prev
-        warped, mask = warp_previous_frame(previous_fused, T, cam)
-        blend = alphas * cur + (1.0 - alphas) * warped
-        blend /= blend.sum(axis=-1, keepdims=True)
-        smoothed = np.where(mask[..., None], blend, cur)
-
+    # a C-order copy, so that the flat (H * W, C) view below writes into it
+    smoothed = np.array(current.probs, dtype=np.float64, order="C")
     H, W, C = smoothed.shape
+    if previous_fused is not None:
+        if previous_fused.shape != (H, W):
+            raise InvalidInputError(
+                f"previous fused frame is {previous_fused.shape}, current frame {(H, W)}")
+        T = np.eye(4) if T_cur_prev is None else T_cur_prev
+        pixels, warped = warp_previous_frame(previous_fused, T, cam)
+        # blend only the pixels that have a warped source; the rest keep the
+        # current frame
+        flat = smoothed.reshape(-1, C)
+        blend = alphas * np.take(flat, pixels, axis=0) + (1.0 - alphas) * warped
+        blend /= blend.sum(axis=-1, keepdims=True)
+        flat[pixels] = blend
+
     for det in _sorted_detections(detections):
         x0, y0, x1, y1 = det.bbox
         c0, c1 = max(int(np.ceil(x0)), 0), min(int(np.floor(x1)), W - 1)

@@ -239,23 +239,39 @@ def sample_bilinear(grid: np.ndarray, u, v):
     return val, inb
 
 
+def _point_rows(points) -> np.ndarray:
+    """One (3,) point or (N, 3) points as float64 (N, 3) rows; any other
+    shape is rejected by name."""
+    p = np.asarray(points, dtype=np.float64)
+    if p.ndim not in (1, 2) or p.shape[-1] != 3:
+        raise InvalidInputError(f"points must have shape (3,) or (N, 3), got {p.shape}")
+    return p.reshape(-1, 3)
+
+
 def project_spherical(points: np.ndarray, model: SphericalModel):
     """Spherical projection of sensor-frame points to range-image coordinates.
 
-    u = 0.5 (1 - atan2(y, x) / pi) w,  v = (1 - (asin(z / r) + f_down) / f) h.
+    u = 0.5 (1 - atan2(y, x) / pi) w,  v = (1 - (asin(z / r) + f_down) / f) h,
+    with r = sqrt((x^2 + y^2) + z^2) summed in that order.
     Returns (u, v, r, valid); invalid when r > r_max or v outside [0, h).
     """
-    p = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    r = np.linalg.norm(p, axis=1)
+    p = _point_rows(points)
+    x, y, z = p[:, 0], p[:, 1], p[:, 2]
+    # by columns, adding in np.linalg.norm's order; its reduction over
+    # 3-wide rows is about three times slower
+    r = x * x
+    r += y * y
+    r += z * z
+    np.sqrt(r, out=r)
     if np.any(r == 0):
         raise InvalidInputError("cannot project zero-norm point")
-    yaw = np.arctan2(p[:, 1], p[:, 0])
-    pitch = np.arcsin(np.clip(p[:, 2] / r, -1.0, 1.0))
+    yaw = np.arctan2(y, x)
+    pitch = np.arcsin(np.clip(z / r, -1.0, 1.0))
     f = model.fov_vertical
     u = 0.5 * (1.0 - yaw / np.pi) * model.width
     v = (1.0 - (pitch + abs(model.f_down)) / f) * model.height
     valid = (r <= model.r_max) & (v >= 0) & (v < model.height)
-    if np.asarray(points).ndim == 1:
+    if np.ndim(points) == 1:
         return float(u[0]), float(v[0]), float(r[0]), bool(valid[0])
     return u, v, r, valid
 
@@ -332,7 +348,9 @@ def nearest_per_cell(cell: np.ndarray, depth: np.ndarray, n_cells: int):
 def render_range_image(points: np.ndarray, model: SphericalModel) -> RangeImage:
     """Z-buffer the points (sensor frame) into a spherical range image; the
     nearest point per cell wins. cell_index records the winning row of
-    `points` per cell (-1 where empty)."""
+    `points` per cell (-1 where empty). `points` is (N, 3), or one (3,)
+    point."""
+    points = _point_rows(points)
     img = RangeImage.empty(model)
     H, W = model.height, model.width
     img.cell_index = np.full((H, W), -1, dtype=np.int64)
@@ -344,7 +362,8 @@ def render_range_image(points: np.ndarray, model: SphericalModel) -> RangeImage:
     cells, win = nearest_per_cell(vi * W + ui, r, H * W)
     img.range.reshape(-1)[cells] = r[win]
     img.cell_index.reshape(-1)[cells] = idx[win]
-    img.xyz.reshape(-1, 3)[cells] = points[idx[win]]
+    # np.take gathers whole rows several times faster than fancy indexing
+    img.xyz.reshape(-1, 3)[cells] = np.take(points, idx[win], axis=0)
     return img
 
 

@@ -110,8 +110,10 @@ def generate_pseudolabels(vmap: VoxelMap, scans: list[ScanRecord],
 
     Static-class voxels are rendered from the full map (mean positions);
     dynamic-class points come from the raw scans inside the window, labeled
-    by their voxel's class. Cells whose winning distribution peaks below
-    `threshold` stay unlabeled.
+    by their voxel's class. A scan's dynamic points are found by looking its
+    points up among the dynamic-class voxels only (`rows_for_points` with
+    `among`), so a point in a static or unobserved voxel is no candidate.
+    Cells whose winning distribution peaks below `threshold` stay unlabeled.
     """
     if provenance not in PROVENANCES:
         raise InvalidInputError(f"unknown provenance {provenance!r}")
@@ -125,11 +127,13 @@ def generate_pseudolabels(vmap: VoxelMap, scans: list[ScanRecord],
     map_cloud = vmap.export_cloud(horizon)
     map_cls = np.argmax(map_cloud.probs, axis=-1)
     map_conf = np.take_along_axis(map_cloud.probs, map_cls[:, None], axis=-1)[:, 0]
-    static_sel = ~dynamic[map_cls]
+    dyn_sel = dynamic[map_cls]
+    static_sel = ~dyn_sel
     static = (map_cloud.xyz[static_sel], map_cls[static_sel], map_conf[static_sel])
     # export_cloud lists voxels in sorted-key order; the scans' points look
     # their voxels up by row, so put the same classes in row order
     _, export_rows = vmap.sorted_index()
+    dyn_rows = export_rows[dyn_sel]
     row_cls = np.empty_like(map_cls)
     row_cls[export_rows] = map_cls
     row_conf = np.empty_like(map_conf)
@@ -139,12 +143,10 @@ def generate_pseudolabels(vmap: VoxelMap, scans: list[ScanRecord],
     dyn_by_scan: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for scan in scans:
         w = scan.world_xyz()
-        rows = vmap.rows_for_points(w)
+        rows = vmap.rows_for_points(w, among=dyn_rows)
         hit = np.flatnonzero(rows >= 0)
         rows = rows[hit]
-        sel = dynamic[row_cls[rows]]
-        rows = rows[sel]
-        dyn_by_scan[scan.scan_id] = (w[hit[sel]], row_cls[rows], row_conf[rows])
+        dyn_by_scan[scan.scan_id] = (w[hit], row_cls[rows], row_conf[rows])
 
     out = []
     for scan in scans:

@@ -173,13 +173,27 @@ class VoxelMap:
         """Row index per (N, 3) voxel key; -1 where the voxel is absent."""
         return self._lookup_packed(pack_keys(keys))
 
-    def _lookup_packed(self, packed: np.ndarray) -> np.ndarray:
-        if len(self._sorted_packed) == 0:
+    def _lookup_packed(self, packed: np.ndarray,
+                       among: np.ndarray | None = None) -> np.ndarray:
+        """Row per packed key; -1 where the voxel is absent or, with `among`,
+        its row is not one of `among`. Restricted, the search runs over a
+        sorted index of those rows' keys only."""
+        index, index_rows = self._sorted_packed, self._sorted_rows
+        if among is not None:
+            among = np.asarray(among, dtype=np.int64)
+            if among.size and (among.min() < 0 or among.max() >= self._size):
+                raise InvalidInputError(
+                    f"rows to search must lie in [0, {self._size}), got "
+                    f"{among.min()}..{among.max()}")
+            index = np.take(self._row_packed, among)
+            order = np.argsort(index)
+            index, index_rows = np.take(index, order), np.take(among, order)
+        if len(index) == 0:
             return np.full(len(packed), -1, dtype=np.int64)
-        pos = np.searchsorted(self._sorted_packed, packed)
-        np.minimum(pos, len(self._sorted_packed) - 1, out=pos)
-        rows = np.take(self._sorted_rows, pos)
-        rows[np.take(self._sorted_packed, pos) != packed] = -1
+        pos = np.searchsorted(index, packed)
+        np.minimum(pos, len(index) - 1, out=pos)
+        rows = np.take(index_rows, pos)
+        rows[np.take(index, pos) != packed] = -1
         return rows
 
     def _grow(self, need: int):
@@ -362,10 +376,15 @@ class VoxelMap:
             n_points=int(self._n_points[row]),
         )
 
-    def rows_for_points(self, xyz: np.ndarray) -> np.ndarray:
+    def rows_for_points(self, xyz: np.ndarray,
+                        among: np.ndarray | None = None) -> np.ndarray:
         """Row of the voxel holding each (N, 3) point; -1 where the voxel is
-        unobserved. Index per-row views such as `voxel_classes` with it."""
-        return self._lookup_packed(pack_keys(voxel_keys(xyz, self.voxel_size)))
+        unobserved. Index per-row views such as `voxel_classes` with it.
+
+        `among` restricts the search to those rows: a point whose voxel has
+        another row gets -1, and the points are searched among len(among)
+        keys instead of the whole map's."""
+        return self._lookup_packed(pack_keys(voxel_keys(xyz, self.voxel_size)), among)
 
     def voxel_classes(self, rows: np.ndarray | None = None,
                       horizon: str = "infinite") -> np.ndarray:

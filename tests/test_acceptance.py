@@ -7,7 +7,6 @@ zero-noise synthetic logs, accuracy gains from fusion, pseudo-label coverage,
 evaluation arithmetic, and throughput.
 """
 
-import json
 import os
 
 import numpy as np

@@ -93,10 +93,9 @@ def previous_frame(depth):
 def test_warp_all_nan_depth_is_all_invalid():
     prev = previous_frame(np.full((8, 10), np.nan))
     cam = CameraModel(fx=10.0, fy=10.0, cx=5.0, cy=4.0, width=10, height=8)
-    warped, mask = warp_previous_frame(prev, np.eye(4), cam)
-    assert warped.shape == (8, 10, C) and warped.dtype == np.float64
-    assert not warped.any()
-    assert mask.shape == (8, 10) and mask.dtype == bool and not mask.any()
+    pixels, warped = warp_previous_frame(prev, np.eye(4), cam)
+    assert pixels.shape == (0,) and pixels.dtype.kind == "i"
+    assert warped.shape == (0, C) and warped.dtype == np.float64
     # smoothing against it keeps the current frame
     cur = previous_frame(np.full((8, 10), 3.0))
     cur.probs = cur.probs[::-1].copy()
@@ -108,9 +107,9 @@ def test_warp_with_every_point_behind_the_camera_is_all_invalid():
     prev = previous_frame(np.full((8, 10), 3.0))
     cam = CameraModel(fx=10.0, fy=10.0, cx=5.0, cy=4.0, width=10, height=8)
     turn = np.diag([-1.0, 1.0, -1.0, 1.0])  # half a turn about the y axis
-    warped, mask = warp_previous_frame(prev, turn, cam)
-    assert warped.shape == (8, 10, C) and not warped.any()
-    assert mask.dtype == bool and not mask.any()
+    pixels, warped = warp_previous_frame(prev, turn, cam)
+    assert pixels.shape == (0,) and pixels.dtype.kind == "i"
+    assert warped.shape == (0, C)
 
 
 # --- range images -------------------------------------------------------------

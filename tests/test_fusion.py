@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from semfuse.fusion import (ALPHA_DYNAMIC, ALPHA_STATIC, CameraView, Detection,
-                            SegmentationFrame, SemanticCloud, class_alphas,
+                            SegmentationFrame, class_alphas,
                             cluster_bbox_points, cluster_tolerance,
                             detection_distribution, fuse_cloud,
                             smooth_and_fuse_image, warp_previous_frame)
 from semfuse.geometry import (CameraModel, Pose, SphericalModel, Trajectory,
                               project_pinhole)
-from semfuse.labels import InvalidInputError, LabelSet, uniform
+from semfuse.labels import InvalidInputError, LabelSet
 
 IDENTITY_Q = np.array([1.0, 0, 0, 0])
 
@@ -358,6 +356,43 @@ def test_smooth_blend_frozen_arithmetic():
     np.testing.assert_allclose(out.probs[3, 3], [0.75, 0.25], atol=1e-12)
 
 
+def test_smooth_matches_dense_blend_oracle(rng):
+    """The blend at warped pixels and the current frame elsewhere, bit for
+    bit as the full-frame formula; the inputs are left as they were."""
+    C, H, W = 5, 16, 24
+    cam = simple_cam(w=W, h=H, f=20.0)
+    depth = rng.choice([2.0, 4.0, np.nan], size=(H, W), p=[0.45, 0.45, 0.1])
+    prev = frame_of(rng.dirichlet(np.ones(C), size=(H, W)), depth=depth)
+    cur = frame_of(rng.dirichlet(np.ones(C), size=(H, W)))
+    before = prev.probs.copy(), cur.probs.copy()
+    alphas = np.linspace(0.2, 0.9, C)
+    T = np.eye(4)
+    T[:3, 3] = [0.3, -0.2, 2.0]
+    out = smooth_and_fuse_image(cur, prev, T, cam, [], alphas)
+
+    pixels, src = warp_previous_frame(prev, T, cam)
+    warped = np.zeros((H * W, C))
+    warped[pixels] = src
+    mask = np.zeros(H * W, dtype=bool)
+    mask[pixels] = True
+    blend = alphas * cur.probs + (1.0 - alphas) * warped.reshape(H, W, C)
+    blend /= blend.sum(axis=-1, keepdims=True)
+    expect = np.where(mask.reshape(H, W, 1), blend, cur.probs)
+    np.testing.assert_array_equal(out.probs, expect)
+    assert 0 < mask.sum() < H * W
+    np.testing.assert_array_equal(prev.probs, before[0])
+    np.testing.assert_array_equal(cur.probs, before[1])
+
+
+def test_smooth_rejects_previous_frame_of_another_size():
+    C = 2
+    cam = simple_cam(w=6, h=6)
+    prev = constant_frame(6, 8, C, 0, depth=np.full((6, 8), 5.0))
+    cur = constant_frame(6, 6, C, 1)
+    with pytest.raises(InvalidInputError, match="previous fused frame"):
+        smooth_and_fuse_image(cur, prev, np.eye(4), cam, [], np.full(C, 0.5))
+
+
 def test_smooth_missing_depth_rejected():
     C = 2
     cam = simple_cam(w=6, h=6)
@@ -394,9 +429,9 @@ def test_warp_identity_recovers_previous():
     depth = np.full((12, 16), 4.0)
     probs = np.random.default_rng(0).dirichlet(np.ones(C), size=(12, 16))
     prev = frame_of(probs, depth=depth)
-    warped, mask = warp_previous_frame(prev, np.eye(4), cam)
-    assert mask.all()
-    np.testing.assert_allclose(warped, probs, atol=1e-12)
+    pixels, warped = warp_previous_frame(prev, np.eye(4), cam)
+    np.testing.assert_array_equal(pixels, np.arange(12 * 16))
+    np.testing.assert_allclose(warped, probs.reshape(-1, C), atol=1e-12)
 
 
 def test_warp_previous_frame_matches_nearest_point_oracle(rng):
@@ -409,7 +444,7 @@ def test_warp_previous_frame_matches_nearest_point_oracle(rng):
     probs = rng.dirichlet(np.ones(C), size=(H, W))
     T = np.eye(4)
     T[:3, 3] = [0.3, -0.2, 2.0]
-    warped, mask = warp_previous_frame(frame_of(probs, depth=depth), T, cam)
+    pixels, warped = warp_previous_frame(frame_of(probs, depth=depth), T, cam)
 
     hits = {}  # target pixel -> [(depth, source pixel)], in input order
     for v, u in np.ndindex(H, W):  # row-major, the input order
@@ -432,8 +467,8 @@ def test_warp_previous_frame_matches_nearest_point_oracle(rng):
         ties += len(at_nearest) > 1
         expect_mask[target] = True
         expect[target] = probs[at_nearest[-1]]
-    np.testing.assert_array_equal(mask, expect_mask)
-    np.testing.assert_array_equal(warped, expect)
+    np.testing.assert_array_equal(pixels, np.flatnonzero(expect_mask))
+    np.testing.assert_array_equal(warped, expect.reshape(-1, C)[pixels])
     assert ties > 0
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -234,6 +236,39 @@ def test_project_spherical_zero_norm_rejected():
     model = SphericalModel()
     with pytest.raises(InvalidInputError):
         project_spherical(np.zeros(3), model)
+
+
+@pytest.mark.parametrize("shape", [(0,), (2,), (4,), (5, 2), (5, 3, 1)])
+def test_spherical_projection_rejects_other_shapes_by_name(shape):
+    model = SphericalModel(width=64, height=16)
+    points = np.ones(shape)
+    for project in (project_spherical, render_range_image):
+        with pytest.raises(InvalidInputError,
+                           match=r"shape \(3,\) or \(N, 3\), got " + re.escape(str(shape))):
+            project(points, model)
+
+
+def test_render_range_image_takes_one_point():
+    model = SphericalModel(width=64, height=16)
+    d = spherical_ray_directions(model)[8, 32]
+    one, many = render_range_image(5.0 * d, model), render_range_image([5.0 * d], model)
+    np.testing.assert_array_equal(one.cell_index, many.cell_index)
+    np.testing.assert_array_equal(one.xyz, many.xyz)
+    assert one.cell_index[8, 32] == 0 and one.range[8, 32] == pytest.approx(5.0)
+
+
+def test_spherical_range_is_the_column_sum(rng):
+    """r = sqrt((x*x + y*y) + z*z) exactly; np.linalg.norm's row reduction
+    may add in another order, so it agrees within one ulp."""
+    model = SphericalModel(width=64, height=16)
+    pts = rng.normal(scale=[30.0, 1e-3, 5.0], size=(2000, 3))
+    pts[::7] *= 1e8
+    _, _, r, _ = project_spherical(pts, model)
+    x, y, z = pts.T
+    np.testing.assert_array_equal(r, np.sqrt((x * x + y * y) + z * z))
+    np.testing.assert_array_max_ulp(r, np.linalg.norm(pts, axis=1), maxulp=1)
+    _, _, r_one, _ = project_spherical(pts[3], model)
+    assert r_one == r[3]
 
 
 def test_spherical_model_rejects_zero_fov():

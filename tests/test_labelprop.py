@@ -10,7 +10,7 @@ from semfuse.labelprop import (UNLABELED, PseudoLabelImage, ScanRecord,
                                ScanWindowPolicy, export_training_pair,
                                generate_pseudolabels, ground_plane_correction,
                                load_training_pair, single_overlay_pseudolabels)
-from semfuse.labels import InvalidInputError, LabelSet
+from semfuse.labels import InvalidInputError
 from semfuse.voxelmap import VoxelMap
 from tests.conftest import parent_export, parent_lookup
 
@@ -201,7 +201,8 @@ def test_pseudolabels_match_lookup_oracle(labelset):
     on a map with dynamic classes, over window sizes, thresholds 0/0.8/1
     (one-hot voxels seen in several scans reach confidence 1) and both
     horizons; every scan also holds points that miss the map. An empty map
-    gives the oracle's all-unlabeled images."""
+    gives the oracle's all-unlabeled images, and on a map of static classes
+    only no scan point is a dynamic candidate."""
     rng = np.random.default_rng(3)
     C = labelset.num_classes
     model = SphericalModel(width=64, height=16)
@@ -222,8 +223,16 @@ def test_pseudolabels_match_lookup_oracle(labelset):
         seen = np.concatenate([world, miss])[rng.permutation(455)]
         scans.append(ScanRecord(apply(invert(pose.matrix()), seen), pose, k))
     empty = VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=2)
+    static_only = VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=2)
+    static_classes = np.setdiff1d(np.arange(C), labelset.dynamic_indices)
+    for k, scan in enumerate(scans[:2]):
+        world = apply(scan.pose.matrix(), scan.xyz)
+        one_hots = np.eye(C)[rng.choice(static_classes, len(world))]
+        static_only.integrate_scan(SemanticCloud(world, one_hots), k)
+    assert len(static_only) and not np.isin(static_only.voxel_classes(),
+                                            labelset.dynamic_indices).any()
     labeled = {}
-    for vmap in (vm, empty):
+    for vmap in (vm, empty, static_only):
         for horizon in ("infinite", "finite"):
             for window in (0, 1, 2, 5):
                 for threshold in (0.0, 0.8, 1.0):

@@ -403,6 +403,33 @@ def test_rows_for_points_hits_misses_and_empty():
     assert VoxelMap(num_classes=3).rows_for_points(pts).tolist() == [-1] * 6
 
 
+@pytest.mark.parametrize("max_voxels", [None, 150])
+def test_rows_for_points_among_rows_equals_masked_full_lookup(max_voxels, rng):
+    """Searching only `among` gives the full lookup's rows where they are in
+    `among` and -1 elsewhere: for subsets, duplicates, no rows and every
+    row, also on a map that has evicted voxels and reuses their rows."""
+    vm = VoxelMap(voxel_size=0.5, num_classes=3, max_voxels=max_voxels)
+    for k in range(3):
+        xyz = rng.uniform([-3 + k, -3, -1], [3 + k, 3, 1], (400, 3))
+        vm.integrate_scan(cloud(xyz, [one_hot(k % 3, 3)] * 400), k)
+    assert max_voxels is None or len(vm) == max_voxels
+    pts = rng.uniform([-4, -4, -1.5], [6, 4, 1.5], (2000, 3))
+    full = vm.rows_for_points(pts)
+    n = len(vm)
+    for among in (rng.choice(n, n // 3, replace=False), rng.integers(0, n, 40),
+                  np.array([n - 1, 0]), np.zeros(0, dtype=np.int64), np.arange(n)):
+        got = vm.rows_for_points(pts, among=among)
+        expect = np.where(np.isin(full, among), full, -1)
+        np.testing.assert_array_equal(got, expect)
+        assert got.dtype == np.int64
+    assert 0 < (vm.rows_for_points(pts, among=np.arange(0, n, 2)) >= 0).sum() < (full >= 0).sum()
+    for bad in ([-1], [n]):
+        with pytest.raises(InvalidInputError, match="rows to search"):
+            vm.rows_for_points(pts, among=np.array(bad))
+    empty = VoxelMap(num_classes=3).rows_for_points(pts[:5], among=np.zeros(0, dtype=np.int64))
+    assert empty.tolist() == [-1] * 5
+
+
 def test_rows_for_points_rejects_nan_by_name():
     vm = VoxelMap(voxel_size=1.0, num_classes=3)
     vm.integrate_scan(cloud([[0.5, 0.5, 0.5]], [one_hot(0, 3)]), 0)
