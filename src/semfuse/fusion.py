@@ -146,6 +146,13 @@ def cluster_bbox_points(xyz: np.ndarray, depths: np.ndarray,
     return component == component[seed], d_seed, tau
 
 
+def _check_frame(frame: SegmentationFrame, cam: CameraModel) -> None:
+    # pixel sampling and warping address the frame through the camera's size
+    if frame.shape != (cam.height, cam.width):
+        raise InvalidInputError(
+            f"segmentation frame is {frame.shape}, camera is {(cam.height, cam.width)}")
+
+
 def _sorted_detections(dets: list[Detection]) -> list[Detection]:
     # rgb before thermal, then by descending score
     return sorted(dets, key=lambda d: (0 if d.source == "rgb" else 1, -d.score))
@@ -176,36 +183,41 @@ def fuse_cloud(xyz: np.ndarray, t_scan: float,
                 f"lidar_probs shape {lidar_probs.shape} != ({n}, {num_classes})")
         probs = lidar_probs.copy()
 
-    projections = []  # per view: (u, v, depth, inside) for detection fusion
+    cams = []  # per view: the rows inside its image, with their u, v and depth
     for view in views:
+        _check_frame(view.frame, view.cam)
         if view.frame.probs.shape[-1] != num_classes:
             raise InvalidInputError("segmentation frame class count mismatch")
         p_cam = lidar_to_camera(xyz, t_scan, view.t, traj, view.cam, T_base_lidar)
         u, v, inside = project_pinhole(p_cam, view.cam)
-        projections.append((u, v, p_cam[:, 2], inside))
         idx = np.flatnonzero(inside)
-        img_p, _ = sample_bilinear(view.frame.probs, u[idx], v[idx])
+        u, v = np.take(u, idx), np.take(v, idx)
+        cams.append((idx, u, v, p_cam[idx, 2]))
+        img_p, _ = sample_bilinear(view.frame.probs, u, v)
         img_p /= img_p.sum(axis=-1, keepdims=True)
         probs[idx] = lb.bayes_fuse(np.take(probs, idx, axis=0), img_p)
 
-    # snapshot after image fusion: the reset target for border effects
-    pre_detection = probs.copy() if any(v.detections for v in views) else None
+    # snapshot after image fusion of the rows each detecting camera sees: the
+    # reset target for border effects
+    pre_detection = [np.take(probs, idx, axis=0) if view.detections else None
+                     for view, (idx, _, _, _) in zip(views, cams)]
 
-    for view, (u, v, depth, inside) in zip(views, projections):
+    for view, (rows, u, v, depth), pre in zip(views, cams, pre_detection):
         for det in _sorted_detections(view.detections):
-            in_bbox = inside & det.contains(u, v)
-            idx = np.nonzero(in_bbox)[0]
-            if len(idx) == 0:
+            # positions among the camera's rows; rows[...] are cloud rows
+            in_bbox = np.flatnonzero(det.contains(u, v))
+            if len(in_bbox) == 0:
                 continue
-            member, _, _ = cluster_bbox_points(xyz[idx], depth[idx], model, s)
-            mem_idx = idx[member]
-            det_p = detection_distribution(det, u[mem_idx], v[mem_idx], num_classes)
-            probs[mem_idx] = lb.bayes_fuse(probs[mem_idx], det_p)
+            idx = rows[in_bbox]
+            member, _, _ = cluster_bbox_points(xyz[idx], depth[in_bbox], model, s)
+            mem = in_bbox[member]
+            det_p = detection_distribution(det, u[mem], v[mem], num_classes)
+            probs[rows[mem]] = lb.bayes_fuse(probs[rows[mem]], det_p)
             # points falsely carrying the detected class outside the cluster
             # fall back to their pre-detection distribution
-            out_idx = idx[~member]
-            wrong = np.argmax(probs[out_idx], axis=-1) == det.class_index
-            probs[out_idx[wrong]] = pre_detection[out_idx[wrong]]
+            out = in_bbox[~member]
+            out = out[np.argmax(probs[rows[out]], axis=-1) == det.class_index]
+            probs[rows[out]] = pre[out]
 
     return SemanticCloud(xyz, probs, intensity=intensity, frame_id=frame_id,
                          timestamp=t_scan)
@@ -254,6 +266,7 @@ def smooth_and_fuse_image(current: SegmentationFrame,
     alphas = np.asarray(alphas, dtype=np.float64)
     if np.any(alphas <= 0) or np.any(alphas > 1):
         raise InvalidInputError("alphas must lie in (0, 1]")
+    _check_frame(current, cam)
     # a C-order copy, so that the flat (H * W, C) view below writes into it
     smoothed = np.array(current.probs, dtype=np.float64, order="C")
     H, W, C = smoothed.shape

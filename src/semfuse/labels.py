@@ -169,14 +169,16 @@ def bayes_fuse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                       DegenerateFusionWarning, stacklevel=2)
         prod = np.where(degenerate[..., None], 1.0, prod)
         s = prod.sum(axis=-1, keepdims=True)
-    return prod / s
+    prod /= s
+    return prod
 
 
 def logsumexp(L: np.ndarray, axis: int = -1) -> np.ndarray:
     """log(sum(exp(L))) factorizing out the largest summand."""
     L = np.asarray(L, dtype=np.float64)
     m = np.max(L, axis=axis, keepdims=True)
-    rest = np.exp(L - m)
+    rest = L - m
+    np.exp(rest, out=rest)
     # the m-th summand contributes exactly 1; log1p of the remainder keeps
     # precision when the rest is tiny
     total = rest.sum(axis=axis, keepdims=True) - 1.0

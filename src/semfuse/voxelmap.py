@@ -16,6 +16,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from . import labels as lb
 from .fusion import SemanticCloud
@@ -238,6 +239,10 @@ class VoxelMap:
                 f"scan_id {scan_id} not increasing (last {self.last_scan_id})")
         xyz = np.asarray(cloud.xyz, dtype=np.float64)
         probs = np.asarray(cloud.probs, dtype=np.float64)
+        if probs.shape != (len(xyz), self.num_classes):
+            raise InvalidInputError(
+                f"scan {scan_id}: cloud probs shape {probs.shape} != "
+                f"({len(xyz)}, {self.num_classes})")
         if not np.isfinite(probs).all():
             raise InvalidInputError(
                 f"scan {scan_id}: cloud probs has non-finite entries")
@@ -257,48 +262,34 @@ class VoxelMap:
         np.not_equal(sp[1:], sp[:-1], out=boundary[1:])
         starts = np.flatnonzero(boundary)
         counts = np.diff(starts, append=n)
-        # the sort is unstable: put the points of each shared voxel back in
-        # input order (a sort of group * n + index), so that their sums below
-        # add up in input order
-        alone = boundary.copy()
-        alone[:-1] &= boundary[1:]
-        shared = np.flatnonzero(~alone)
-        group = np.searchsorted(starts, shared, side="right") - 1
-        base = group * n
-        shared_order = np.take(order, shared)
-        shared_order += base
-        shared_order.sort()
-        shared_order -= base
-        order[shared] = shared_order
-        # each group's first point seeds its sums; np.add.at adds the rest
-        first = np.take(order, starts)
-        extra = ~boundary[shared]
-        idx, into = shared_order[extra], group[extra]
-
-        C = self.num_classes
-        scan_L = np.take(probs, first, axis=0)
-        np.maximum(scan_L, lb.EPS_FLOOR, out=scan_L)
-        np.log(scan_L, out=scan_L)
-        # one 1-D np.add.at over flat element indices: numpy's fast path, and
-        # ufunc.at applies updates in index order, so each element still adds
-        # its points in input order
-        flat = into[:, None] * C + np.arange(C)
-        np.add.at(scan_L.reshape(-1), flat.reshape(-1),
-                  lb.log_from_prob(np.take(probs, idx, axis=0)).reshape(-1))
         # a lone point's clamped log of a unit-sum row is already normalized
-        # up to float rounding
-        several = np.flatnonzero(counts > 1)
-        scan_L[several] = lb.log_normalize(np.take(scan_L, several, axis=0), axis=-1)
+        # up to float rounding, so a lone voxel's state is its point's
+        logs = np.maximum(probs, lb.EPS_FLOOR)
+        np.log(logs, out=logs)
+        first = np.take(order, starts)
+        scan_L = np.take(logs, first, axis=0)
+        pos = np.take(xyz, first, axis=0)
+        # a shared voxel sums its points in input order: row j of M lists the
+        # points of voxel several[j] in ascending (input) order, and a product
+        # with M adds 1.0 * each listed row onto zeros in that order (a -0.0
+        # position sum reads +0.0, as it does once added to the stored total)
+        shared = counts > 1
+        several = np.flatnonzero(shared)
+        indptr = np.zeros(len(several) + 1, dtype=np.int64)
+        np.cumsum(np.take(counts, several), out=indptr[1:])
+        M = csr_matrix((np.ones(indptr[-1]), order[np.repeat(shared, counts)], indptr),
+                       shape=(len(several), n))
+        M.sort_indices()
+        scan_L[several] = lb.log_normalize(M @ logs, axis=-1)
+        pos[several] = M @ xyz
 
         rows = self._rows_for(np.take(sp, starts))
         # positions column by column: 1-D gathers and scatters beat row-wise
-        # ones on a 3-column array (np.take would copy a strided column)
+        # ones on a 3-column array
         for axis in range(3):
-            coord, total = xyz[:, axis], self._pos_sum[:, axis]
-            pos = coord[first]
-            np.add.at(pos, into, coord[idx])
-            pos += total[rows]
-            total[rows] = pos
+            total, column = self._pos_sum[:, axis], pos[:, axis]
+            column += total[rows]
+            total[rows] = column
         self._n_points[rows] += counts
         self._last_update[rows] = scan_id
 
@@ -310,7 +301,7 @@ class VoxelMap:
             n_scans = np.take(self._n_scans, rows)
             slot = rows * H
             slot += n_scans % H
-            self._ring.reshape(-1, C)[slot] = scan_L
+            self._ring.reshape(-1, self.num_classes)[slot] = scan_L
             n_scans += 1
             self._n_scans[rows] = n_scans
 

@@ -8,8 +8,8 @@ from semfuse.fusion import (ALPHA_DYNAMIC, ALPHA_STATIC, CameraView, Detection,
                             detection_distribution, fuse_cloud,
                             smooth_and_fuse_image, warp_previous_frame)
 from semfuse.geometry import (CameraModel, Pose, SphericalModel, Trajectory,
-                              project_pinhole)
-from semfuse.labels import InvalidInputError, LabelSet
+                              lidar_to_camera, project_pinhole, sample_bilinear)
+from semfuse.labels import InvalidInputError, LabelSet, bayes_fuse
 
 IDENTITY_Q = np.array([1.0, 0, 0, 0])
 
@@ -298,6 +298,81 @@ def test_fuse_cloud_detection_cluster_and_reset():
     assert (labels[3:] == 3).all()  # far points keep the background argmax
 
 
+def test_fuse_cloud_rejects_frame_of_another_size():
+    C = 3
+    cam = simple_cam()  # 100 x 80
+    frame = constant_frame(60, 100, C, 0)
+    with pytest.raises(InvalidInputError, match=r"\(60, 100\).*\(80, 100\)"):
+        fuse_cloud(np.array([[0.0, 0, 5.0]]), 0.0, None, [CameraView(cam, frame)],
+                   static_traj(), np.eye(4), SphericalModel(), C)
+
+
+def whole_cloud_reset_fuse(xyz, t_scan, lidar_probs, views, traj, T_base_lidar,
+                           model, C):
+    """fuse_cloud with every camera projecting the whole cloud and one
+    whole-cloud snapshot after image fusion as the detection reset target."""
+    probs = lidar_probs.copy()
+    projections = []
+    for view in views:
+        p_cam = lidar_to_camera(xyz, t_scan, view.t, traj, view.cam, T_base_lidar)
+        u, v, inside = project_pinhole(p_cam, view.cam)
+        projections.append((u, v, p_cam[:, 2], inside))
+        idx = np.flatnonzero(inside)
+        img_p, _ = sample_bilinear(view.frame.probs, u[idx], v[idx])
+        img_p /= img_p.sum(axis=-1, keepdims=True)
+        probs[idx] = bayes_fuse(probs[idx], img_p)
+    pre_detection = probs.copy()
+    for view, (u, v, depth, inside) in zip(views, projections):
+        for det in sorted(view.detections,
+                          key=lambda d: (0 if d.source == "rgb" else 1, -d.score)):
+            idx = np.flatnonzero(inside & det.contains(u, v))
+            if len(idx) == 0:
+                continue
+            member, _, _ = cluster_bbox_points(xyz[idx], depth[idx], model)
+            mem = idx[member]
+            probs[mem] = bayes_fuse(probs[mem],
+                                    detection_distribution(det, u[mem], v[mem], C))
+            out = idx[~member]
+            wrong = out[np.argmax(probs[out], axis=-1) == det.class_index]
+            probs[wrong] = pre_detection[wrong]
+    return probs
+
+
+def test_fuse_cloud_second_camera_resets_to_pre_detection(rng):
+    """Two overlapping cameras with detections: a box of the second camera
+    resets rows that a detection of the first camera moved to the detected
+    class, back to their state before any detection; the result equals the
+    whole-cloud reference bit for bit."""
+    C = 5
+    model = SphericalModel(width=1024, height=128)
+    near = np.array([[0.0, 0.0, 4.0], [0.02, 0.0, 4.0], [0.0, 0.02, 4.0]])
+    nearer = near * [1, 1, 0.5] + [0.5, 0.0, 0.0]  # right of `near`, at 2 m
+    # in both images, above and below the class-0 boxes
+    far = np.column_stack([rng.uniform(-6, 6, 40),
+                           rng.choice([-1, 1], 40) * rng.uniform(2.5, 4, 40),
+                           np.full(40, 15.0)])
+    xyz = np.concatenate([near, nearer, far])
+    lidar = np.tile([0.05, 0.05, 0.05, 0.8, 0.05], (len(xyz), 1))
+    lidar[6:] = rng.dirichlet(np.full(C, 0.5), 40)
+    cam_a, cam_b = simple_cam(), simple_cam(w=120, h=90, f=110.0)
+    frames = [frame_of(rng.dirichlet(np.full(C, 50.0), (cam.height, cam.width)))
+              for cam in (cam_a, cam_b)]
+    views = [CameraView(cam_a, frames[0], [Detection(0, 0.95, (40, 30, 60, 50))]),
+             CameraView(cam_b, frames[1], [Detection(0, 1.0, (55, 30, 100, 60)),
+                                           Detection(3, 0.6, (0, 0, 120, 90))])]
+    args = (xyz, 0.0, lidar, views, static_traj(), np.eye(4), model, C)
+    cloud = fuse_cloud(*args)
+    np.testing.assert_array_equal(cloud.probs, whole_cloud_reset_fuse(*args))
+    # the first camera's detection moves `near` to class 0, the second
+    # camera's box resets it; the rows then hold their image-fused state
+    first = fuse_cloud(xyz, 0.0, lidar, views[:1], static_traj(), np.eye(4), model, C)
+    assert (np.argmax(first.probs[:3], axis=-1) == 0).all()
+    image_only = fuse_cloud(xyz, 0.0, lidar, [CameraView(v.cam, v.frame) for v in views],
+                            static_traj(), np.eye(4), model, C)
+    np.testing.assert_array_equal(cloud.probs[:3], image_only.probs[:3])
+    assert (np.argmax(cloud.probs[3:6], axis=-1) == 0).all()
+
+
 def test_fuse_cloud_empty_points():
     C = 3
     cloud = fuse_cloud(np.zeros((0, 3)), 0.0, np.zeros((0, C)), [],
@@ -391,6 +466,14 @@ def test_smooth_rejects_previous_frame_of_another_size():
     cur = constant_frame(6, 6, C, 1)
     with pytest.raises(InvalidInputError, match="previous fused frame"):
         smooth_and_fuse_image(cur, prev, np.eye(4), cam, [], np.full(C, 0.5))
+
+
+def test_smooth_rejects_frame_of_another_size_than_camera():
+    C = 2
+    cam = simple_cam(w=6, h=6)
+    cur = constant_frame(6, 8, C, 1)
+    with pytest.raises(InvalidInputError, match=r"\(6, 8\).*\(6, 6\)"):
+        smooth_and_fuse_image(cur, None, None, cam, [], np.full(C, 0.5))
 
 
 def test_smooth_missing_depth_rejected():

@@ -182,6 +182,14 @@ def test_out_of_range_scan_is_rejected_before_scan_id_moves():
     assert vm.last_scan_id == 0 and len(vm) == 1
 
 
+@pytest.mark.parametrize("shape", [(2, 4), (2, 2), (3, 3), (2,)])
+def test_probs_of_another_shape_are_rejected_before_scan_id_moves(shape):
+    vm = VoxelMap(voxel_size=1.0, num_classes=3)
+    with pytest.raises(InvalidInputError, match=r"probs shape .* != \(2, 3\)"):
+        vm.integrate_scan(cloud([[0.5, 0, 0], [2.5, 0, 0]], np.full(shape, 0.25)), 0)
+    assert vm.last_scan_id is None and len(vm) == 0
+
+
 def test_contains_and_len():
     vm = VoxelMap(num_classes=3)
     vm.integrate_scan(cloud([[0.1, 0.1, 0.1], [1.1, 0, 0]],
@@ -295,6 +303,59 @@ def test_shared_voxels_sum_in_input_order_exactly(rng):
     out = vm.export_cloud()  # rows in packed-key order, as `keys`
     n_points = np.array([vm.query_voxel(k).n_points for k in unpack_keys(keys)])
     np.testing.assert_array_equal(out.xyz, np.array(pos_sum) / n_points[:, None])
+
+
+def merge_case(kind, rng, C):
+    """One scan's (xyz, probs) for voxel size 1, in scrambled order."""
+    if kind == "one_crowded_voxel":
+        xyz = np.concatenate([rng.uniform(0.01, 0.99, size=(500, 3)),
+                              rng.uniform(1, 4, size=(60, 3))])
+    elif kind == "all_alone":
+        grid = np.stack(np.meshgrid(*[np.arange(-3, 4)] * 3), axis=-1)
+        xyz = grid.reshape(-1, 3) + rng.uniform(0.01, 0.99, size=(343, 3))
+    elif kind == "single_voxel":
+        xyz = rng.uniform(-1.99, -1.01, size=(300, 3))
+    elif kind == "clamp_edges":
+        xyz = rng.uniform(0, 2, size=(80, 3))
+    else:  # "negative_zero": a lone point on -0.0 among shared voxels
+        xyz = np.concatenate([[[-0.0, 0.5, -0.0]], rng.uniform(1, 3, size=(60, 3))])
+    n = len(xyz)
+    probs = rng.dirichlet(np.full(C, 0.1), n)
+    if kind == "clamp_edges":
+        # exact one-hot rows: one entry at the top, the others below the clamp
+        hot = rng.random(n) < 0.5
+        probs[hot] = np.eye(C)[rng.integers(0, C, size=int(hot.sum()))]
+    order = rng.permutation(n)
+    if kind == "negative_zero":
+        order = order[order != 0]
+        order = np.concatenate([order[:30], [0], order[30:]])
+    return xyz[order], probs[order]
+
+
+@pytest.mark.parametrize("kind", ["one_crowded_voxel", "all_alone", "single_voxel",
+                                  "clamp_edges", "negative_zero"])
+def test_scan_merge_edge_cases_match_input_order_oracle(kind, rng):
+    """One scan's stored log state, ring slot, position sum and point count
+    equal, bit for bit (signs of zero included), the input-order oracle's
+    per-scan sums added onto an empty voxel."""
+    C = 5
+    xyz, probs = merge_case(kind, rng, C)
+    vm = VoxelMap(voxel_size=1.0, num_classes=C, n_horizon=2)
+    vm.integrate_scan(cloud(xyz, probs), 0)
+    keys, states, pos = reference_scan_states(xyz, probs, 1.0)
+    rows = vm.rows_for_keys(unpack_keys(keys))
+    assert len(vm) == len(keys) and (rows >= 0).all()
+    packed = pack_keys(voxel_keys(xyz, 1.0))
+    counts = np.array([np.count_nonzero(packed == k) for k in keys])
+    for stored, expect in ((vm._L_inf[rows], 0.0 + states),
+                           (vm._ring[rows, 0], states),
+                           (vm._pos_sum[rows], 0.0 + pos),
+                           (vm._n_points[rows], counts)):
+        assert stored.tobytes() == expect.tobytes()
+    if kind == "negative_zero":
+        lone = vm.rows_for_keys(np.zeros((1, 3)))[0]
+        assert vm._n_points[lone] == 1
+        assert not np.signbit(vm._pos_sum[lone]).any()
 
 
 def test_no_underflow_over_many_scans():
