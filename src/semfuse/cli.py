@@ -11,6 +11,7 @@ import click
 from . import runner
 from .evaluation import ConfigurationError, format_report, write_json_report
 from .fileio import ParseError
+from .labelprop import MAP_PROVENANCES
 from .labels import InvalidInputError
 
 
@@ -94,7 +95,7 @@ def map_cmd(config, output_dir, clouds, voxel_size, n_horizon, horizon, map_out)
 @click.option("--threshold", type=float, default=None)
 @click.option("--window", type=int, default=None)
 @click.option("--provenance",
-              type=click.Choice(["single_overlay", "camonly_map", "fused_map"]),
+              type=click.Choice(MAP_PROVENANCES),
               default=None)
 @click.option("--ground-correction", is_flag=True, default=None)
 @click.option("--include-intensity", is_flag=True, default=None)

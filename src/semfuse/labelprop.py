@@ -22,7 +22,9 @@ from .voxelmap import VoxelMap
 
 UNLABELED = 255
 DEFAULT_CONFIDENCE = 0.80
-PROVENANCES = ("single_overlay", "camonly_map", "fused_map")
+# what `generate_pseudolabels` renders from; "single_overlay" names the
+# map-free labels of `single_overlay_pseudolabels`
+MAP_PROVENANCES = ("camonly_map", "fused_map")
 
 # ground-plane consensus fit
 RANSAC_ITERATIONS = 200
@@ -115,8 +117,9 @@ def generate_pseudolabels(vmap: VoxelMap, scans: list[ScanRecord],
     `among`), so a point in a static or unobserved voxel is no candidate.
     Cells whose winning distribution peaks below `threshold` stay unlabeled.
     """
-    if provenance not in PROVENANCES:
-        raise InvalidInputError(f"unknown provenance {provenance!r}")
+    if provenance not in MAP_PROVENANCES:
+        raise InvalidInputError(
+            f"provenance {provenance!r} is not a map provenance {MAP_PROVENANCES}")
     policy = policy or ScanWindowPolicy()
     dynamic = np.zeros(labelset.num_classes, dtype=bool)
     dynamic[list(labelset.dynamic_indices)] = True

@@ -292,6 +292,15 @@ def run_map(cfg: RunConfig, clouds_dir: str | None = None,
     }
 
 
+def _load_map(cfg: RunConfig, labelset: LabelSet, path: str) -> VoxelMap:
+    """A map snapshot whose label set, where it names one, is `labelset`."""
+    vmap = VoxelMap.load(path)
+    if vmap.labelset_hash and vmap.labelset_hash != labelset.config_hash():
+        raise ConfigurationError(
+            f"{path}: label-set hash mismatch with {cfg.labelset or 'default'}")
+    return vmap
+
+
 # ---------------------------------------------------------------------------
 # pseudo-labels
 
@@ -311,10 +320,7 @@ def load_scan_records(cfg: RunConfig, calib, traj) -> list[ScanRecord]:
 def run_pseudolabel(cfg: RunConfig, map_path: str | None = None) -> dict:
     labelset, calib, traj = _load_log(cfg)
     map_path = map_path or os.path.join(cfg.output_dir, "map.svx")
-    vmap = VoxelMap.load(map_path)
-    if vmap.labelset_hash and vmap.labelset_hash != labelset.config_hash():
-        raise ConfigurationError(
-            f"{map_path}: label-set hash mismatch with {cfg.labelset or 'default'}")
+    vmap = _load_map(cfg, labelset, map_path)
     records = load_scan_records(cfg, calib, traj)
     images = generate_pseudolabels(
         vmap, records, labelset, calib.lidar_model,
@@ -348,9 +354,7 @@ def run_eval(cfg: RunConfig, pred: str, reference: str,
     """Evaluate a prediction (map snapshot or clouds directory) against a
     reference map snapshot."""
     labelset = cfg.load_labelset()
-    ref_map = VoxelMap.load(reference)
-    if ref_map.labelset_hash and ref_map.labelset_hash != labelset.config_hash():
-        raise ConfigurationError(f"{reference}: label-set hash mismatch")
+    ref_map = _load_map(cfg, labelset, reference)
     if os.path.isdir(pred):
         clouds = []
         for path in fileio.list_sorted(pred, ".npz"):
@@ -369,7 +373,7 @@ def run_eval(cfg: RunConfig, pred: str, reference: str,
                 accumulate_scan_vs_map(acc, cloud, ref_map, labelset, frustum)
             return IoUResult(acc.iou(), labelset, restricted_fov=True)
         return iou_scan_vs_map(clouds, ref_map, labelset)
-    pred_map = VoxelMap.load(pred)
+    pred_map = _load_map(cfg, labelset, pred)
     if camera_fov:
         raise ConfigurationError("--camera-fov applies to cloud predictions only")
     return iou_map_vs_map(pred_map, ref_map, labelset)

@@ -22,7 +22,9 @@ from . import labels as lb
 from .fusion import SemanticCloud
 from .labels import InvalidInputError
 
-SNAPSHOT_MAGIC = b"SFVX"
+SNAPSHOT_MAGIC = b"SFV2"
+# the layout before records held packed keys (int32 ix iy iz per record)
+_OLD_SNAPSHOT_MAGIC = b"SFVX"
 # class ids leave the pipeline as uint8, with 255 kept for "unlabeled"; the
 # bound keeps a corrupt snapshot header from sizing a map of absurd width
 _MAX_SNAPSHOT_CLASSES = 255
@@ -109,16 +111,15 @@ class VoxelMap:
     until the next `integrate_scan` that moves `last_scan_id`. Every read,
     of one row or of all, gathers from them; normalization works row by row,
     so a gathered row has the bits of that row normalized alone. Every read
-    returns a fresh array.
+    returns a fresh array. A voxel keeps its row for the life of the map.
     """
 
     # the per-voxel arrays; row i of each describes one voxel. A map with a
     # finite horizon adds its ring arrays to its own copy of this tuple.
-    _PER_VOXEL = ("_row_packed", "_L_inf", "_pos_sum", "_n_points", "_last_update")
+    _PER_VOXEL = ("_row_packed", "_L_inf", "_pos_sum", "_n_points")
 
     def __init__(self, voxel_size: float = 0.25, num_classes: int = 15,
-                 n_horizon: int | None = None, labelset_hash: str = "",
-                 max_voxels: int | None = None):
+                 n_horizon: int | None = None, labelset_hash: str = ""):
         if not (math.isfinite(voxel_size) and voxel_size > 0):
             raise InvalidInputError(
                 f"voxel_size must be finite and positive, got {voxel_size}")
@@ -126,13 +127,10 @@ class VoxelMap:
             raise InvalidInputError(f"num_classes must be >= 2, got {num_classes}")
         if n_horizon is not None and n_horizon < 1:
             raise InvalidInputError("n_horizon must be >= 1")
-        if max_voxels is not None and max_voxels < 1:
-            raise InvalidInputError(f"max_voxels must be >= 1, got {max_voxels}")
         self.voxel_size = float(voxel_size)
         self.num_classes = int(num_classes)
         self.n_horizon = None if n_horizon is None else int(n_horizon)
         self.labelset_hash = labelset_hash
-        self.max_voxels = max_voxels
         self.last_scan_id: int | None = None
 
         # sorted packed keys with their row numbers, for binary-search lookup
@@ -145,7 +143,6 @@ class VoxelMap:
         self._L_inf = np.zeros((cap, C))
         self._pos_sum = np.zeros((cap, 3))
         self._n_points = np.zeros(cap, dtype=np.int64)
-        self._last_update = np.zeros(cap, dtype=np.int64)
         if H is not None:
             # ring is (voxel, horizon, class), so a voxel's slots are
             # contiguous; a voxel's k-th scan goes to slot k % H, and slots it
@@ -291,7 +288,6 @@ class VoxelMap:
             column += total[rows]
             total[rows] = column
         self._n_points[rows] += counts
-        self._last_update[rows] = scan_id
 
         L = np.take(self._L_inf, rows, axis=0)
         L += scan_L
@@ -304,24 +300,6 @@ class VoxelMap:
             self._ring.reshape(-1, self.num_classes)[slot] = scan_L
             n_scans += 1
             self._n_scans[rows] = n_scans
-
-        if self.max_voxels is not None and self._size > self.max_voxels:
-            self._evict_to_cap()
-
-    def _evict_to_cap(self):
-        # keep the most recently updated voxels
-        order = np.argsort(-self._last_update[: self._size], kind="stable")
-        keep = np.sort(order[: self.max_voxels])
-        for name in self._PER_VOXEL:
-            arr = getattr(self, name)
-            arr[: len(keep)] = arr[keep]
-            # vacated rows are reallocated to new voxels, which start empty
-            arr[len(keep): self._size] = 0
-        self._size = len(keep)
-        kept_packed = self._row_packed[: self._size].copy()
-        sort = np.argsort(kept_packed)
-        self._sorted_packed = kept_packed[sort]
-        self._sorted_rows = np.arange(self._size)[sort]
 
     def _check_horizon(self, horizon: str) -> None:
         if horizon not in ("infinite", "finite"):
@@ -418,8 +396,8 @@ class VoxelMap:
         return np.bincount(self._row_classes(horizon), minlength=self.num_classes)
 
     # --- snapshot format: one JSON header line, then fixed-size little-endian
-    # records (int32 ix iy iz, float32 mean xyz, uint32 n_points, C float32
-    # log-probabilities) ---
+    # records in ascending key order (int64 packed voxel key, float32 mean
+    # xyz, uint32 n_points, C float32 log-probabilities) ---
 
     def save(self, path, horizon: str = "infinite") -> None:
         """Write one normalized state per voxel, from `horizon`. The header's
@@ -438,12 +416,12 @@ class VoxelMap:
             blob = json.dumps(header).encode()
             f.write(struct.pack("<I", len(blob)))
             f.write(blob)
-            _, rows = self.sorted_index()
+            packed, rows = self.sorted_index()
             L = np.take(self._view(horizon), rows, axis=0).astype(np.float32)
             mean = (self._pos_sum[rows] / self._n_points[rows][:, None]
                     ).astype(np.float32)
             rec = np.zeros(len(rows), dtype=self._record_dtype(self.num_classes))
-            rec["key"] = unpack_keys(self._row_packed[rows]).astype(np.int32)
+            rec["key"] = packed
             rec["mean"] = mean
             rec["n_points"] = self._n_points[rows].astype(np.uint32)
             rec["logp"] = L
@@ -451,7 +429,7 @@ class VoxelMap:
 
     @staticmethod
     def _record_dtype(num_classes: int):
-        return np.dtype([("key", "<i4", 3), ("mean", "<f4", 3),
+        return np.dtype([("key", "<i8"), ("mean", "<f4", 3),
                          ("n_points", "<u4"), ("logp", "<f4", num_classes)])
 
     @classmethod
@@ -464,7 +442,8 @@ class VoxelMap:
         horizons answer with it. New scans integrated afterwards are fused
         into the infinite horizon on top of it, while the finite horizon
         becomes the newest scan. A malformed snapshot, or one of more than
-        255 classes, raises InvalidInputError naming the file.
+        255 classes, raises InvalidInputError naming the file; so does one of
+        the layout before packed keys, which must be rebuilt.
         """
         with open(path, "rb") as f:
             data = f.read()
@@ -477,6 +456,10 @@ class VoxelMap:
 
     @classmethod
     def _from_snapshot(cls, data: bytes) -> "VoxelMap":
+        if data[:4] == _OLD_SNAPSHOT_MAGIC:
+            raise InvalidInputError(
+                "snapshot of the old layout (int32 voxel keys); rebuild it "
+                "with `semfuse map`")
         if data[:4] != SNAPSHOT_MAGIC:
             raise InvalidInputError("not a voxel map snapshot")
         # a file cut inside the length field reads as a header it lacks
@@ -512,21 +495,23 @@ class VoxelMap:
                     f"record {np.argwhere(~finite)[0, 0]}: non-finite {name}")
         if not n.all():
             raise InvalidInputError(f"record {np.argmin(n)}: no points")
+        # packed keys are non-negative, and sorted records make them the index
+        keys = rec["key"].astype(np.int64)
+        unsorted = keys[1:] <= keys[:-1]
+        if unsorted.any():
+            i = np.argmax(unsorted) + 1
+            what = "duplicate" if keys[i] in keys[:i] else "out-of-order"
+            raise InvalidInputError(f"record {i}: {what} voxel key {keys[i]}")
+        if (keys[:1] < 0).any():
+            raise InvalidInputError(f"record 0: negative voxel key {keys[0]}")
         vm._grow(len(rec))
         vm._L_inf[: len(rec)] = lb.log_normalize(logp, axis=-1)
         vm._ring[: len(rec), 0] = vm._L_inf[: len(rec)]
         vm._n_scans[: len(rec)] = 1
         vm._pos_sum[: len(rec)] = mean * n[:, None]
         vm._n_points[: len(rec)] = n
-        if len(rec):
-            packed = pack_keys(rec["key"].astype(np.int64))
-            vm._row_packed[: len(rec)] = packed
-            sort = np.argsort(packed)
-            vm._sorted_packed = packed[sort]
-            vm._sorted_rows = np.arange(len(rec))[sort]
-            dup = vm._sorted_packed[1:] == vm._sorted_packed[:-1]
-            if dup.any():
-                raise InvalidInputError(
-                    f"duplicate voxel key {unpack_keys(vm._sorted_packed[np.argmax(dup)])}")
+        vm._row_packed[: len(rec)] = keys
+        vm._sorted_packed = keys
+        vm._sorted_rows = np.arange(len(rec))
         vm._size = len(rec)
         return vm

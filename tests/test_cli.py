@@ -158,6 +158,36 @@ def test_eval_truncated_snapshot_names_the_file(log_dir, runner, tmp_path, cut):
         assert "Traceback" not in res.output
 
 
+def test_eval_rejects_map_of_another_label_set(log_dir, runner, tmp_path):
+    """A prediction or reference map saved under another label set fails
+    with an error naming that file instead of scoring its class ids."""
+    gt_path = os.path.join(log_dir, "gt_map.svx")
+    gt = VoxelMap.load(gt_path)
+    foreign = VoxelMap(voxel_size=gt.voxel_size, num_classes=gt.num_classes,
+                       labelset_hash="deadbeefdeadbeef")
+    foreign.integrate_scan(gt.export_cloud(), 0)
+    bad = tmp_path / "foreign.svx"
+    foreign.save(bad)
+    config = os.path.join(log_dir, "config.json")
+    for args in (["--pred", str(bad), "--ref", gt_path],
+                 ["--pred", gt_path, "--ref", str(bad)]):
+        res = runner.invoke(main, ["eval", "--config", config] + args)
+        assert res.exit_code == 1
+        assert res.output.startswith(f"error: {bad}: label-set hash mismatch")
+
+
+def test_pseudolabel_refuses_single_overlay_provenance(log_dir, runner, tmp_path):
+    """Labels rendered from a map never claim to be one scan's overlay."""
+    res = runner.invoke(main, ["pseudolabel", "--config",
+                               os.path.join(log_dir, "config.json"),
+                               "--map", os.path.join(log_dir, "gt_map.svx"),
+                               "--output-dir", str(tmp_path),
+                               "--provenance", "single_overlay"])
+    assert res.exit_code == 2
+    assert "single_overlay" in res.output
+    assert not (tmp_path / "pseudolabels").exists()
+
+
 @pytest.mark.parametrize("camera_fov", [False, True])
 def test_eval_clouds_dir_matches_library(log_dir, camonly_dir, runner, tmp_path,
                                          camera_fov):

@@ -347,36 +347,35 @@ def parent_scan_vs_map(clouds, reference, labelset):
 
 def test_iou_reads_follow_map_changes(labelset, rng):
     """Both IoU forms equal the per-row computation bit for bit on maps
-    without views, on the same maps read again, and after a scan or an
-    eviction changes a map whose views an earlier evaluation built."""
+    without views, on the same maps read again, and after a scan changes a
+    map whose views an earlier evaluation built."""
     C = labelset.num_classes
     pred = random_map(rng, C, -2.0, 3.0)
     ref = random_map(rng, C, 0.0, 5.0)
-    capped = VoxelMap(voxel_size=0.5, num_classes=C, max_voxels=500)
+    third = VoxelMap(voxel_size=0.5, num_classes=C)
     for k in range(2):
-        capped.integrate_scan(SemanticCloud(rng.uniform(k, 4 + k, (400, 3)),
-                                            rng.dirichlet(np.full(C, 0.3), 400)), k)
+        third.integrate_scan(SemanticCloud(rng.uniform(k, 4 + k, (400, 3)),
+                                           rng.dirichlet(np.full(C, 0.3), 400)), k)
     clouds = [SemanticCloud(rng.uniform(-2, 6, (n, 3)),
                             rng.dirichlet(np.full(C, 0.3), n)) for n in (600, 0, 200)]
     results = set()
     for step in range(4):
-        for a, b in ((pred, ref), (ref, pred), (capped, ref), (pred, capped)):
+        for a, b in ((pred, ref), (ref, pred), (third, ref), (pred, third)):
             for _ in range(2):
                 got = iou_map_vs_map(a, b, labelset).per_class
                 np.testing.assert_array_equal(
                     got, iou_map_vs_map_by_key_sets(a, b, labelset))
             results.add(got.tobytes())
-        for reference in (ref, capped):
+        for reference in (ref, third):
             for _ in range(2):
                 np.testing.assert_array_equal(
                     iou_scan_vs_map(clouds, reference, labelset).per_class,
                     parent_scan_vs_map(clouds, reference, labelset))
-        # each step changes all three maps; the capped one evicts
-        for m in (pred, ref, capped):
+        # each step changes all three maps
+        for m in (pred, ref, third):
             m.integrate_scan(SemanticCloud(rng.uniform(-2 + step, 2 + step, (300, 3)),
                                            rng.dirichlet(np.full(C, 0.3), 300)),
                              m.last_scan_id + 1)
-        assert len(capped) == 500
     assert len(results) > 4
 
 

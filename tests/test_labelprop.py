@@ -90,9 +90,11 @@ def test_empty_map_warns_and_yields_unlabeled(labelset):
 
 def test_rejects_unknown_provenance(labelset):
     vm = VoxelMap(num_classes=labelset.num_classes)
-    with pytest.raises(InvalidInputError):
-        generate_pseudolabels(vm, [], labelset, SphericalModel(),
-                              provenance="magic")
+    # a single overlay is made from one scan, never rendered from a map
+    for provenance in ("magic", "single_overlay"):
+        with pytest.raises(InvalidInputError, match=provenance):
+            generate_pseudolabels(vm, [], labelset, SphericalModel(),
+                                  provenance=provenance)
 
 
 def test_window_policy_validation():
@@ -257,23 +259,20 @@ def test_pseudolabels_match_lookup_oracle(labelset):
     assert sum(labeled["finite", 0, 0.0]) < sum(labeled["finite", 5, 0.0])
 
 
-@pytest.mark.parametrize("max_voxels", [None, 700])
-def test_pseudolabels_follow_map_changes(labelset, max_voxels):
+def test_pseudolabels_follow_map_changes(labelset):
     """Pseudo-labels equal the per-row oracle on a map read for the first
-    time, on the same map read again, and after each new scan (with
-    eviction on a capped map)."""
+    time, on the same map read again, and after each new scan."""
     rng = np.random.default_rng(8)
     C = labelset.num_classes
     model = SphericalModel(width=64, height=16)
-    vm = VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=2, max_voxels=max_voxels)
-    scans, sizes = [], []
+    vm = VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=2)
+    scans = []
     for k in range(4):
         world = rng.uniform([-6 + 2 * k, -6, -1], [6 + 2 * k, 6, 1], size=(400, 3))
         probs = rng.dirichlet(np.full(C, 0.2), size=400)
         probs[::4, list(labelset.dynamic_indices)] += 2.0
         probs /= probs.sum(axis=1, keepdims=True)
         vm.integrate_scan(SemanticCloud(world, probs), k)
-        sizes.append(len(vm))
         pose = pose_at(t=float(k), xyz=(2.0 * k, 0.0, 0.1))
         scans.append(ScanRecord(apply(invert(pose.matrix()), world), pose, k))
         for horizon in ("infinite", "finite"):
@@ -286,8 +285,6 @@ def test_pseudolabels_follow_map_changes(labelset, max_voxels):
                     np.testing.assert_array_equal(img.classes, classes)
                     np.testing.assert_array_equal(img.confidence, conf)
         assert any(img.labeled.any() for img in got)
-    if max_voxels is not None:  # the last two scans evict
-        assert sizes[0] < max_voxels and sizes[-2:] == [max_voxels] * 2
 
 
 # --- ground-plane correction ------------------------------------------------

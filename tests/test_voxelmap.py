@@ -85,8 +85,6 @@ def test_rejects_bad_params():
     ({"voxel_size": -0.5}, "voxel_size"),
     ({"num_classes": 0}, "num_classes"),
     ({"num_classes": 1}, "num_classes"),
-    ({"max_voxels": 0}, "max_voxels"),
-    ({"max_voxels": -1}, "max_voxels"),
 ])
 def test_constructor_rejects_out_of_contract_by_name(kwargs, name):
     with pytest.raises(InvalidInputError, match=name):
@@ -94,22 +92,22 @@ def test_constructor_rejects_out_of_contract_by_name(kwargs, name):
 
 
 def test_smallest_valid_parameters_work():
-    vm = VoxelMap(voxel_size=1e-3, num_classes=2, max_voxels=1)
+    vm = VoxelMap(voxel_size=1e-3, num_classes=2)
     vm.integrate_scan(cloud([[0.0, 0, 0], [1.0, 0, 0]], [[0.9, 0.1]] * 2), 0)
-    assert len(vm) == 1
+    assert len(vm) == 2
 
 
 def test_default_map_keeps_no_ring():
     vm = VoxelMap(num_classes=3)
     assert vm.n_horizon is None
     assert not hasattr(vm, "_ring") and not hasattr(vm, "_n_scans")
-    # growth and eviction run on the ring-less columns alike
-    vm = VoxelMap(voxel_size=1.0, num_classes=3, max_voxels=1500)
+    # growth runs on the ring-less columns alike
+    vm = VoxelMap(voxel_size=1.0, num_classes=3)
     for k in range(3):
         vm.integrate_scan(cloud(np.c_[np.arange(1000.0) + 1000 * k,
                                       np.zeros((1000, 2))],
                                 np.tile(one_hot(k, 3), (1000, 1))), k)
-    assert len(vm) == 1500 and not hasattr(vm, "_ring")
+    assert len(vm) == 3000 and not hasattr(vm, "_ring")
     assert vm.query_voxel((2500, 0, 0)).probs.argmax() == 2
 
 
@@ -464,16 +462,14 @@ def test_rows_for_points_hits_misses_and_empty():
     assert VoxelMap(num_classes=3).rows_for_points(pts).tolist() == [-1] * 6
 
 
-@pytest.mark.parametrize("max_voxels", [None, 150])
-def test_rows_for_points_among_rows_equals_masked_full_lookup(max_voxels, rng):
+def test_rows_for_points_among_rows_equals_masked_full_lookup(rng):
     """Searching only `among` gives the full lookup's rows where they are in
     `among` and -1 elsewhere: for subsets, duplicates, no rows and every
-    row, also on a map that has evicted voxels and reuses their rows."""
-    vm = VoxelMap(voxel_size=0.5, num_classes=3, max_voxels=max_voxels)
+    row."""
+    vm = VoxelMap(voxel_size=0.5, num_classes=3)
     for k in range(3):
         xyz = rng.uniform([-3 + k, -3, -1], [3 + k, 3, 1], (400, 3))
         vm.integrate_scan(cloud(xyz, [one_hot(k % 3, 3)] * 400), k)
-    assert max_voxels is None or len(vm) == max_voxels
     pts = rng.uniform([-4, -4, -1.5], [6, 4, 1.5], (2000, 3))
     full = vm.rows_for_points(pts)
     n = len(vm)
@@ -575,6 +571,8 @@ def test_snapshot_round_trip(tmp_path, rng):
     assert len(again) == len(vm)
     assert again.voxel_size == 0.3
     assert again.labelset_hash == "abc"
+    for x, y in zip(again.sorted_index(), vm.sorted_index()):
+        np.testing.assert_array_equal(x, y)
     a = vm.export_cloud()
     b = again.export_cloud()
     # snapshot stores float32 log-states and means
@@ -636,6 +634,25 @@ def duplicated(data, hlen, rec):
     return with_records(data, hlen, rec)
 
 
+def swapped(data, hlen, rec):
+    rec[[1, 2]] = rec[[2, 1]]
+    return with_records(data, hlen, rec)
+
+
+def negative_key(data, hlen, rec):
+    rec["key"][0] = -1
+    return with_records(data, hlen, rec)
+
+
+def old_magic(data, hlen, rec):
+    """The layout before packed keys: int32 ix iy iz per record."""
+    old = np.zeros(len(rec), dtype=[("key", "<i4", 3)] + rec.dtype.descr[1:])
+    old["key"] = unpack_keys(rec["key"])
+    for name in rec.dtype.names[1:]:
+        old[name] = rec[name]
+    return b"SFVX" + data[4: 8 + hlen] + old.tobytes()
+
+
 @pytest.mark.parametrize("edit, what", [
     pytest.param(lambda d, h, r: d[:6], "truncated snapshot header",
                  id="cut-length-field"),
@@ -654,6 +671,9 @@ def duplicated(data, hlen, rec):
     pytest.param(spoiled("mean", np.nan), "record 1: non-finite mean", id="nan-mean"),
     pytest.param(spoiled("n_points", 0), "record 1: no points", id="no-points"),
     pytest.param(duplicated, "duplicate voxel key", id="duplicate-key"),
+    pytest.param(swapped, "record 2: out-of-order voxel key", id="out-of-order-key"),
+    pytest.param(negative_key, "record 0: negative voxel key", id="negative-key"),
+    pytest.param(old_magic, "rebuild it", id="old-magic"),
 ])
 def test_malformed_snapshot_raises_invalid_input_naming_file(tmp_path, edit, what):
     path = tmp_path / "map.svx"
@@ -772,45 +792,6 @@ def test_pseudolabel_from_finite_horizon_map(tmp_path):
     assert runner.run_pseudolabel(cfg)["labeled_cells"] > 0
 
 
-# --- memory bound -----------------------------------------------------------
-
-
-def test_max_voxels_evicts_oldest():
-    vm = VoxelMap(voxel_size=1.0, num_classes=3, max_voxels=10)
-    for k in range(20):
-        vm.integrate_scan(cloud([[k + 0.5, 0.5, 0.5]], [one_hot(0, 3)]), k)
-    assert len(vm) == 10
-    # recent voxels survive, early ones are gone
-    assert (19, 0, 0) in vm
-    assert (0, 0, 0) not in vm
-
-
-def test_max_voxels_keeps_queries_consistent(rng):
-    vm = VoxelMap(num_classes=3, max_voxels=50)
-    for k in range(8):
-        pts = rng.uniform(-6, 6, size=(100, 3))
-        vm.integrate_scan(cloud(pts, rng.dirichlet(np.ones(3), 100)), k)
-    assert len(vm) <= 50
-    out = vm.export_cloud()
-    np.testing.assert_allclose(out.probs.sum(axis=-1), 1.0, atol=1e-9)
-
-
-def test_voxel_allocated_after_eviction_starts_empty():
-    """A new voxel reuses an evicted voxel's row without inheriting its
-    points, position or class evidence."""
-    vm = VoxelMap(voxel_size=1.0, num_classes=3, n_horizon=2, max_voxels=1)
-    vm.integrate_scan(cloud([[0.5, 0.5, 0.5]], [one_hot(0, 3)]), 0)
-    vm.integrate_scan(cloud([[5.5, 0.5, 0.5]], [one_hot(1, 3)]), 1)
-    vm.integrate_scan(cloud([[0.5, 0.5, 0.5]], [one_hot(2, 3)]), 2)
-    assert len(vm) == 1
-    q = vm.query_voxel((0, 0, 0))
-    assert q.n_points == 1
-    np.testing.assert_allclose(q.mean_pos, [0.5, 0.5, 0.5])
-    for horizon in ("infinite", "finite"):
-        np.testing.assert_allclose(vm.query_voxel((0, 0, 0), horizon).probs,
-                                   one_hot(2, 3), atol=1e-9)
-
-
 # --- whole-map views ---------------------------------------------------------
 
 
@@ -844,7 +825,7 @@ def parent_records(vm, horizon) -> bytes:
     """The records `save` wrote when it normalized the sorted rows alone."""
     _, rows = vm.sorted_index()
     rec = np.zeros(len(rows), dtype=vm._record_dtype(vm.num_classes))
-    rec["key"] = unpack_keys(vm._row_packed[rows]).astype(np.int32)
+    rec["key"] = vm._row_packed[rows]
     rec["mean"] = (vm._pos_sum[rows] / vm._n_points[rows][:, None]).astype(np.float32)
     rec["n_points"] = vm._n_points[rows].astype(np.uint32)
     rec["logp"] = parent_log_state(vm, rows, horizon).astype(np.float32)
@@ -969,25 +950,21 @@ def test_reads_on_random_maps_without_ring(tmp_path):
         assert_reads_match_parent(vm, "infinite", rng, tmp_path / "map.svx")
 
 
-@pytest.mark.parametrize("max_voxels", [None, 300])
-def test_reads_follow_each_scan(max_voxels, tmp_path):
-    """Views built before a scan are dropped by it, eviction included."""
+def test_reads_follow_each_scan(tmp_path):
+    """Views built before a scan are dropped by it."""
     rng = np.random.default_rng(11)
     C = 4
-    vm = VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=2, max_voxels=max_voxels)
+    vm = VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=2)
     path = tmp_path / "map.svx"
     sizes = []
-    # later scans reach new ground, so eviction has old voxels to drop
+    # later scans reach new ground, so the map grows
     for scan, k in random_scans(rng, C, 4, n=300):
         scan.xyz[:, 0] += 2.0 * k
         vm.integrate_scan(scan, k)
         sizes.append(len(vm))
         for horizon in ("infinite", "finite"):
             assert_reads_match_parent(vm, horizon, rng, path)
-    if max_voxels is not None:
-        assert sizes[-1] == max_voxels
-    else:
-        assert sizes == sorted(sizes) and sizes[0] < sizes[-1]
+    assert sizes == sorted(sizes) and sizes[0] < sizes[-1]
     # an empty scan moves last_scan_id and changes nothing
     before = vm.export_cloud().probs
     vm.integrate_scan(cloud(np.zeros((0, 3)), np.zeros((0, C))), 10)
