@@ -276,22 +276,6 @@ def project_spherical(points: np.ndarray, model: SphericalModel):
     return u, v, r, valid
 
 
-def spherical_ray_directions(model: SphericalModel) -> np.ndarray:
-    """Unit ray direction per cell center, shape (H, W, 3), consistent with
-    project_spherical so that project(r * dir(u, v)) round-trips to (u, v)."""
-    us = np.arange(model.width) + 0.5
-    vs = np.arange(model.height) + 0.5
-    yaw = np.pi * (1.0 - 2.0 * us / model.width)
-    pitch = (1.0 - vs / model.height) * model.fov_vertical - abs(model.f_down)
-    cy = np.cos(yaw)[None, :]
-    sy = np.sin(yaw)[None, :]
-    cp = np.cos(pitch)[:, None]
-    sp = np.sin(pitch)[:, None]
-    dirs = np.stack([cp * cy, cp * sy, np.broadcast_to(sp, (model.height, model.width))],
-                    axis=-1)
-    return dirs
-
-
 def unproject_spherical(u, v, r, model: SphericalModel) -> np.ndarray:
     """Reconstruct sensor-frame points from image coordinates and range."""
     u = np.asarray(u, dtype=np.float64)
@@ -303,6 +287,14 @@ def unproject_spherical(u, v, r, model: SphericalModel) -> np.ndarray:
                   np.cos(pitch) * np.sin(yaw),
                   np.sin(pitch)], axis=-1)
     return d * r[..., None]
+
+
+def spherical_ray_directions(model: SphericalModel) -> np.ndarray:
+    """Unit ray direction per cell center, shape (H, W, 3): the cell centres
+    unprojected at range 1, so that project(r * dir(u, v)) round-trips to
+    (u, v)."""
+    u, v = np.meshgrid(np.arange(model.width) + 0.5, np.arange(model.height) + 0.5)
+    return unproject_spherical(u, v, 1.0, model)
 
 
 @dataclass

@@ -57,14 +57,23 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str, **overrides) -> "RunConfig":
+        """A JSON object of RunConfig fields, with the non-None `overrides`
+        on top. A file that is not valid JSON, not an object, or names an
+        unknown key raises ParseError naming the file."""
         with open(path) as f:
-            cfg = json.load(f)
-        base = os.path.dirname(os.path.abspath(path))
-        fields = {f for f in cls.__dataclass_fields__}
-        known = {k: v for k, v in cfg.items() if k in fields}
-        known.update({k: v for k, v in overrides.items() if v is not None})
-        rc = cls(**known)
+            try:
+                cfg = json.load(f)
+            except ValueError as e:
+                raise fileio.ParseError(f"{path}: {e}") from e
+        if not isinstance(cfg, dict):
+            raise fileio.ParseError(f"{path}: config is not a JSON object")
+        unknown = sorted(set(cfg) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise fileio.ParseError(f"{path}: unknown config key {unknown[0]!r}")
+        cfg.update({k: v for k, v in overrides.items() if v is not None})
+        rc = cls(**cfg)
         # relative paths resolve against the config file
+        base = os.path.dirname(os.path.abspath(path))
         for name in ("calibration", "trajectory", "scans_dir", "frames_dir",
                      "detections", "labelset", "output_dir"):
             val = getattr(rc, name)
@@ -325,14 +334,14 @@ def run_pseudolabel(cfg: RunConfig, map_path: str | None = None) -> dict:
     images = generate_pseudolabels(
         vmap, records, labelset, calib.lidar_model,
         policy=ScanWindowPolicy(cfg.window), threshold=cfg.threshold,
-        provenance=cfg.provenance, horizon=cfg.horizon)
+        provenance=cfg.provenance)
     out_root = os.path.join(cfg.output_dir, "pseudolabels")
     n_labeled = 0
     for rec, img in zip(records, images):
         if cfg.ground_correction:
             img = ground_plane_correction(img, labelset)
         scan_img = render_range_image(rec.xyz, calib.lidar_model)
-        if rec.intensity is not None:
+        if cfg.include_intensity and rec.intensity is not None:
             intens = np.zeros_like(scan_img.range)
             hit = scan_img.cell_index >= 0
             intens[hit] = rec.intensity[scan_img.cell_index[hit]]
@@ -353,6 +362,8 @@ def run_eval(cfg: RunConfig, pred: str, reference: str,
              camera_fov: bool = False) -> IoUResult:
     """Evaluate a prediction (map snapshot or clouds directory) against a
     reference map snapshot."""
+    if camera_fov and not os.path.isdir(pred):
+        raise ConfigurationError("--camera-fov applies to cloud predictions only")
     labelset = cfg.load_labelset()
     ref_map = _load_map(cfg, labelset, reference)
     if os.path.isdir(pred):
@@ -373,10 +384,7 @@ def run_eval(cfg: RunConfig, pred: str, reference: str,
                 accumulate_scan_vs_map(acc, cloud, ref_map, labelset, frustum)
             return IoUResult(acc.iou(), labelset, restricted_fov=True)
         return iou_scan_vs_map(clouds, ref_map, labelset)
-    pred_map = _load_map(cfg, labelset, pred)
-    if camera_fov:
-        raise ConfigurationError("--camera-fov applies to cloud predictions only")
-    return iou_map_vs_map(pred_map, ref_map, labelset)
+    return iou_map_vs_map(_load_map(cfg, labelset, pred), ref_map, labelset)
 
 
 # ---------------------------------------------------------------------------

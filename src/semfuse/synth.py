@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fusion import Detection, SegmentationFrame
-from .geometry import (CameraModel, Pose, RangeImage, SphericalModel,
+from .geometry import (CameraModel, Pose, RangeImage, SphericalModel, invert,
                        spherical_ray_directions)
 from .labels import InvalidInputError, LabelSet, softmax
 
@@ -31,10 +31,7 @@ def forward_camera_extrinsic(offset=(0.0, 0.0, 0.0)) -> np.ndarray:
     T_base_cam = np.eye(4)
     T_base_cam[:3, :3] = R_BASE_CAM
     T_base_cam[:3, 3] = offset
-    out = np.eye(4)
-    out[:3, :3] = R_BASE_CAM.T
-    out[:3, 3] = -R_BASE_CAM.T @ np.asarray(offset, dtype=np.float64)
-    return out
+    return invert(T_base_cam)
 
 
 @dataclass

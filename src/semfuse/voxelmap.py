@@ -307,7 +307,8 @@ class VoxelMap:
         if horizon == "finite" and self.n_horizon is None:
             raise InvalidInputError(
                 "finite-horizon query on a map built without n_horizon; "
-                "pass n_horizon to VoxelMap to keep the last scans")
+                "pass n_horizon to VoxelMap to keep the last scans, or read a "
+                "loaded map as infinite: a snapshot holds one state")
 
     def _view(self, horizon: str) -> np.ndarray:
         """Normalized log state of every row, in row order, kept until the
@@ -437,13 +438,12 @@ class VoxelMap:
         """Read a snapshot written by `save`.
 
         A snapshot holds one normalized state per voxel, from the horizon it
-        was saved with. The loaded map has a depth-1 ring and holds that state
-        both as its infinite state and as each voxel's one ring scan, so both
-        horizons answer with it. New scans integrated afterwards are fused
-        into the infinite horizon on top of it, while the finite horizon
-        becomes the newest scan. A malformed snapshot, or one of more than
-        255 classes, raises InvalidInputError naming the file; so does one of
-        the layout before packed keys, which must be rebuilt.
+        was saved with. The loaded map keeps no ring: that state is its
+        infinite state, which infinite reads answer with and new scans fuse
+        on top of, and a finite-horizon read raises InvalidInputError. A
+        malformed snapshot, or one of more than 255 classes, raises
+        InvalidInputError naming the file; so does one of the layout before
+        packed keys, which must be rebuilt.
         """
         with open(path, "rb") as f:
             data = f.read()
@@ -483,7 +483,7 @@ class VoxelMap:
         if n_rec != count:
             raise InvalidInputError(f"truncated snapshot: {n_rec} of {count} records")
         vm = cls(voxel_size=header["voxel_size"], num_classes=C,
-                 n_horizon=1, labelset_hash=header.get("labelset_hash", ""))
+                 labelset_hash=header.get("labelset_hash", ""))
         rec = np.frombuffer(data, dtype=dtype, offset=end)
         n = rec["n_points"].astype(np.int64)
         mean = rec["mean"].astype(np.float64)
@@ -505,9 +505,7 @@ class VoxelMap:
         if (keys[:1] < 0).any():
             raise InvalidInputError(f"record 0: negative voxel key {keys[0]}")
         vm._grow(len(rec))
-        vm._L_inf[: len(rec)] = lb.log_normalize(logp, axis=-1)
-        vm._ring[: len(rec), 0] = vm._L_inf[: len(rec)]
-        vm._n_scans[: len(rec)] = 1
+        vm._L_inf[: len(rec)] = logp
         vm._pos_sum[: len(rec)] = mean * n[:, None]
         vm._n_points[: len(rec)] = n
         vm._row_packed[: len(rec)] = keys

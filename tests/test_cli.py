@@ -11,7 +11,7 @@ from semfuse.cli import main
 from semfuse.evaluation import (CameraFrustum, ConfusionAccumulator, IoUResult,
                                 accumulate_scan_vs_map, format_report,
                                 iou_scan_vs_map)
-from semfuse.geometry import Pose, invert
+from semfuse.geometry import Pose, invert, render_range_image
 from semfuse.labelprop import (generate_pseudolabels, ground_plane_correction,
                                load_training_pair)
 from semfuse.labels import LabelSet
@@ -133,6 +133,37 @@ def test_fuse_nonzero_exit_on_bad_calibration(log_dir, runner, tmp_path):
     assert "error:" in res.output
 
 
+def absolute_config(log_dir, out):
+    """The shared log's config with absolute paths, writing under `out`."""
+    cfg = {k: os.path.join(log_dir, v) for k, v in read_json(log_dir, "config.json").items()}
+    cfg["output_dir"] = str(out)
+    return cfg
+
+
+@pytest.mark.parametrize("text, what", [
+    pytest.param(None, "unknown config key 'threshhold'", id="misspelt-key"),
+    pytest.param('{"window": 2,', "Expecting", id="not-json"),
+    pytest.param('[["window", 2]]', "config is not a JSON object", id="not-an-object"),
+])
+def test_config_file_faults_exit_naming_the_file(log_dir, runner, tmp_path, text, what):
+    """A config that misspells a key, is not JSON, or is not a JSON object
+    fails every command with one error line naming the file, before any
+    work; a misspelt key is not dropped for its default."""
+    bad = tmp_path / "config.json"
+    if text is None:
+        text = json.dumps({**absolute_config(log_dir, tmp_path / "out"),
+                           "threshhold": 0.99})
+    bad.write_text(text)
+    gt_path = os.path.join(log_dir, "gt_map.svx")
+    for args in (["fuse"], ["map"], ["pseudolabel", "--map", gt_path],
+                 ["eval", "--pred", gt_path, "--ref", gt_path]):
+        res = runner.invoke(main, args + ["--config", str(bad)])
+        assert res.exit_code == 1, (args, res.output)
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.output.startswith(f"error: {bad}: ") and what in res.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_nonzero_exit_on_corrupt_map(log_dir, runner, tmp_path):
     bad = tmp_path / "bad.svx"
     bad.write_bytes(b"JUNKJUNKJUNK")
@@ -224,6 +255,21 @@ def test_eval_clouds_dir_matches_library(log_dir, camonly_dir, runner, tmp_path,
     assert res.output == format_report(expected) + "\n"
 
 
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_eval_refuses_camera_fov_for_a_map_before_reading_it(log_dir, runner, tmp_path,
+                                                             corrupt):
+    """--camera-fov applies to clouds only: a map prediction, even a corrupt
+    one, is refused for the flag before any file is read."""
+    pred = os.path.join(log_dir, "gt_map.svx")
+    if corrupt:
+        pred = tmp_path / "bad.svx"
+        pred.write_bytes(b"JUNKJUNKJUNK")
+    res = runner.invoke(main, ["eval", "--config", os.path.join(log_dir, "config.json"),
+                               "--pred", str(pred), "--ref", str(pred), "--camera-fov"])
+    assert res.exit_code == 1
+    assert res.output == "error: --camera-fov applies to cloud predictions only\n"
+
+
 def test_eval_camera_fov_restricts_the_points(log_dir, camonly_dir, runner, tmp_path):
     config = os.path.join(log_dir, "config.json")
     args = ["eval", "--config", config, "--pred", os.path.join(camonly_dir, "clouds"),
@@ -263,6 +309,35 @@ def test_pseudolabel_ground_correction_matches_library(log_dir, camonly_dir, run
     assert reset > 0
     assert json.loads(res.output)["labeled_cells"] == sum(
         int(ground_plane_correction(img, labelset).labeled.sum()) for img in images)
+
+
+@pytest.mark.parametrize("include_intensity", [False, True])
+def test_pseudolabel_include_intensity_exports_winning_point_intensity(
+        log_dir, camonly_dir, runner, tmp_path, include_intensity):
+    """With --include-intensity a sample has a fifth channel: the scan's
+    intensity at each cell's winning point, 0 in empty cells."""
+    config = os.path.join(log_dir, "config.json")
+    out = str(tmp_path / "pl")
+    res = runner.invoke(main, ["pseudolabel", "--config", config, "--output-dir", out,
+                               "--map", os.path.join(camonly_dir, "map.svx")]
+                        + (["--include-intensity"] if include_intensity else []))
+    assert res.exit_code == 0, res.output
+
+    cfg = RunConfig.load(config)
+    calib = fileio.load_calibration(cfg.calibration)
+    records = load_scan_records(cfg, calib, fileio.load_trajectory(cfg.trajectory))
+    for rec in records:
+        channels, _, meta = load_training_pair(
+            os.path.join(out, "pseudolabels", f"sample_{rec.scan_id:04d}"))
+        assert meta["channels"] == channels.shape[-1] == 4 + include_intensity
+        if not include_intensity:
+            continue
+        img = render_range_image(rec.xyz, calib.lidar_model)
+        hit = img.cell_index >= 0
+        expect = np.zeros(hit.shape, dtype=np.float32)
+        expect[hit] = rec.intensity[img.cell_index[hit]]
+        np.testing.assert_array_equal(channels[..., 4], expect)
+        assert channels[..., 4][hit].any()
 
 
 def test_map_nonzero_exit_names_corrupt_cloud(log_dir, runner, tmp_path):

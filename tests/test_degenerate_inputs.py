@@ -19,6 +19,7 @@ from semfuse.geometry import (CameraModel, OutOfRangeError, Pose,
                               spherical_ray_directions)
 from semfuse.labelprop import (UNLABELED, ScanRecord, generate_pseudolabels,
                                single_overlay_pseudolabels)
+from semfuse.labels import InvalidInputError
 from semfuse.voxelmap import SNAPSHOT_MAGIC, VoxelMap
 from tests.conftest import assert_blank_range_image
 
@@ -157,21 +158,20 @@ def test_empty_map_save_load_round_trip(tmp_path):
     vm = VoxelMap(voxel_size=0.5, num_classes=C, labelset_hash="abc")
     path = tmp_path / "empty.svx"
     vm.save(path)
-
-    def header_only(n_horizon):
-        blob = (b'{"voxel_size": 0.5, "num_classes": 5, "n_horizon": ' + n_horizon
-                + b', "labelset_hash": "abc", "horizon": "infinite", "count": 0}')
-        return SNAPSHOT_MAGIC + struct.pack("<I", len(blob)) + blob
-
-    assert path.read_bytes() == header_only(b"null")
+    blob = (b'{"voxel_size": 0.5, "num_classes": 5, "n_horizon": null'
+            b', "labelset_hash": "abc", "horizon": "infinite", "count": 0}')
+    header_only = SNAPSHOT_MAGIC + struct.pack("<I", len(blob)) + blob
+    assert path.read_bytes() == header_only
     loaded = VoxelMap.load(path)
-    assert len(loaded) == 0
+    assert len(loaded) == 0 and loaded.n_horizon is None
     assert (loaded.voxel_size, loaded.num_classes, loaded.labelset_hash) == (0.5, C, "abc")
-    for horizon in ("infinite", "finite"):
-        cloud = loaded.export_cloud(horizon)
-        assert cloud.xyz.shape == (0, 3) and cloud.probs.shape == (0, C)
+    cloud = loaded.export_cloud()
+    assert cloud.xyz.shape == (0, 3) and cloud.probs.shape == (0, C)
+    # a snapshot holds one state, so the loaded map answers no finite read
+    with pytest.raises(InvalidInputError, match="without n_horizon"):
+        loaded.export_cloud("finite")
     loaded.save(tmp_path / "again.svx")
-    assert (tmp_path / "again.svx").read_bytes() == header_only(b"1")
+    assert (tmp_path / "again.svx").read_bytes() == header_only
 
 
 # --- pseudo-labels ------------------------------------------------------------

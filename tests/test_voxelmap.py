@@ -111,30 +111,43 @@ def test_default_map_keeps_no_ring():
     assert vm.query_voxel((2500, 0, 0)).probs.argmax() == 2
 
 
+def assert_finite_reads_raise(vm, path):
+    """Every finite-horizon read of `vm` raises by name, and a finite save
+    writes no file."""
+    rows = np.zeros(min(len(vm), 1), dtype=np.int64)
+    calls = [lambda: vm.query_voxel((0, 0, 0), "finite"),
+             lambda: vm.lookup_points(np.array([[0.5, 0.5, 0.5]]), "finite"),
+             lambda: vm.distributions(rows, "finite"),
+             lambda: vm.voxel_classes(rows, "finite"),
+             lambda: vm.voxel_classes(horizon="finite"),
+             lambda: vm.export_cloud("finite"),
+             lambda: vm.save(path, horizon="finite"),
+             lambda: vm.per_class_voxel_counts("finite")]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="without n_horizon") as info:
+            call()
+        assert "a snapshot holds one state" in str(info.value)
+    assert not os.path.exists(path)
+
+
 @pytest.mark.parametrize("empty", [False, True])
 def test_finite_query_on_default_map_raises(tmp_path, empty):
     vm = VoxelMap(voxel_size=1.0, num_classes=3)
     if not empty:
         vm.integrate_scan(cloud([[0.5, 0.5, 0.5]], [one_hot(1, 3)]), 0)
+    assert_finite_reads_raise(vm, tmp_path / "finite.svx")
+    # the infinite horizon answers; its snapshot, loaded, keeps no ring either
     path = tmp_path / "map.svx"
-    calls = [lambda: vm.query_voxel((0, 0, 0), "finite"),
-             lambda: vm.lookup_points(np.array([[0.5, 0.5, 0.5]]), "finite"),
-             lambda: vm.export_cloud("finite"),
-             lambda: vm.save(path, horizon="finite"),
-             lambda: vm.per_class_voxel_counts("finite")]
-    for call in calls:
-        with pytest.raises(InvalidInputError, match="without n_horizon"):
-            call()
-    assert not path.exists()
-    # the infinite horizon answers, and its snapshot answers both horizons
     vm.save(path)
     data = path.read_bytes()
     (hlen,) = struct.unpack("<I", data[4:8])
     assert json.loads(data[8: 8 + hlen])["n_horizon"] is None
     loaded = VoxelMap.load(path)
-    for horizon in ("infinite", "finite"):
-        np.testing.assert_array_equal(loaded.export_cloud(horizon).probs,
-                                      loaded.export_cloud().probs)
+    assert loaded.n_horizon is None and not hasattr(loaded, "_ring")
+    # the snapshot stores float32 log-probabilities
+    np.testing.assert_allclose(loaded.export_cloud().probs, vm.export_cloud().probs,
+                               atol=1e-6)
+    assert_finite_reads_raise(loaded, tmp_path / "finite.svx")
 
 
 def test_scan_id_must_increase():
@@ -726,7 +739,7 @@ def test_loaded_map_accepts_new_scans(tmp_path):
 
 def test_snapshot_header_naming_a_policy_still_loads(tmp_path, rng):
     """Older snapshots name a merge policy in their header; it is ignored, so
-    they answer both horizons like the same snapshot without the field."""
+    they answer like the same snapshot without the field."""
     vm = VoxelMap(voxel_size=1.0, num_classes=4, n_horizon=2)
     for k in range(3):
         vm.integrate_scan(cloud(rng.uniform(0, 3, (30, 3)),
@@ -743,7 +756,7 @@ def test_snapshot_header_naming_a_policy_still_loads(tmp_path, rng):
     queries = rng.uniform(-1, 4, size=(100, 3))
 
     def answers(m):
-        return [a for h in ("infinite", "finite") for a in m.lookup_points(queries, h)]
+        return m.lookup_points(queries)
 
     new, old = VoxelMap.load(path), VoxelMap.load(old_path)
     for a, b in zip(answers(new), answers(old)):
@@ -758,9 +771,9 @@ def test_snapshot_header_naming_a_policy_still_loads(tmp_path, rng):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["infinite", "finite"]),
        st.integers(1, 4), st.integers(1, 7), st.integers(0, 2**32 - 1))
-def test_snapshot_answers_both_horizons_with_saved_state(saved, H, n_scans, seed):
-    """A reloaded map answers finite and infinite queries alike with the
-    state of the horizon it was saved with."""
+def test_snapshot_answers_infinite_reads_with_saved_state(saved, H, n_scans, seed):
+    """A reloaded map answers infinite queries with the state of the
+    horizon it was saved with; it keeps no ring, so a finite query raises."""
     rng = np.random.default_rng(seed)
     C = 4
     vm = VoxelMap(voxel_size=1.0, num_classes=C, n_horizon=H)
@@ -773,11 +786,12 @@ def test_snapshot_answers_both_horizons_with_saved_state(saved, H, n_scans, seed
         path = os.path.join(tmp, "map.svx")
         vm.save(path, horizon=saved)
         again = VoxelMap.load(path)
-    for horizon in ("infinite", "finite"):
-        probs, found = again.lookup_points(queries, horizon)
-        np.testing.assert_array_equal(found, expect_found)
-        # the snapshot stores float32 log-probabilities
-        np.testing.assert_allclose(probs, expect, atol=1e-5)
+    probs, found = again.lookup_points(queries)
+    np.testing.assert_array_equal(found, expect_found)
+    # the snapshot stores float32 log-probabilities
+    np.testing.assert_allclose(probs, expect, atol=1e-5)
+    with pytest.raises(InvalidInputError, match="without n_horizon"):
+        again.lookup_points(queries, "finite")
 
 
 def test_pseudolabel_from_finite_horizon_map(tmp_path):
@@ -934,6 +948,11 @@ def memo_map(case, rng, tmp_path):
 def test_reads_equal_per_row_computation(case, horizon, first, tmp_path):
     rng = np.random.default_rng(7)
     vm = memo_map(case, rng, tmp_path)
+    if case == "loaded" and horizon == "finite":
+        # a snapshot holds one state: the loaded map keeps no ring
+        assert not hasattr(vm, "_ring")
+        assert_finite_reads_raise(vm, tmp_path / "map.svx")
+        return
     expect = assert_reads_match_parent(vm, horizon, rng, tmp_path / "map.svx", first)
     if case != "empty":
         assert 0 < expect["lookup_points.found"].sum() < 300
@@ -1022,7 +1041,7 @@ def test_writing_into_returned_arrays_changes_no_later_read(tmp_path):
                     value[...] = 3 if value.dtype.kind != "b" else False
 
 
-def test_one_normalization_serves_every_read_of_a_state(normalized_shapes):
+def test_one_normalization_serves_every_read_of_a_state(normalized_shapes, tmp_path):
     rng = np.random.default_rng(1)
     C = 6
     vm = VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=2)
@@ -1033,20 +1052,31 @@ def test_one_normalization_serves_every_read_of_a_state(normalized_shapes):
     pts = centres[[0, 0, 5, 9, 9, 9]]
     vm.integrate_scan(cloud(centres[:20], rng.dirichlet(np.ones(C), 20)), 2)
     assert len(vm) == V  # the new scan lands inside the map; views are gone
+
+    def read_everything(m):
+        m.distributions(np.array([4, 1, 4]))
+        m.voxel_classes(np.array([2, 3]))
+        m.query_voxel(m.keys_array[7])
+        m.lookup_points(pts)
+        m.voxel_classes()
+        m.save(os.devnull)
+        m.export_cloud()
+        m.per_class_voxel_counts()
+
     # the first read of a horizon, even of a few rows, normalizes every row
     # once; later reads of any kind gather from that
     del normalized_shapes[:]
-    vm.distributions(np.array([4, 1, 4]))
-    vm.voxel_classes(np.array([2, 3]))
-    vm.query_voxel(vm.keys_array[7])
-    vm.lookup_points(pts)
-    vm.voxel_classes()
-    vm.save(os.devnull)
-    vm.export_cloud()
-    vm.per_class_voxel_counts()
+    read_everything(vm)
     assert normalized_shapes == [(V, C)]
     # each horizon has its own view
     vm.query_voxel(vm.keys_array[7], "finite")
     vm.export_cloud("finite")
     vm.lookup_points(pts, "finite")
     assert normalized_shapes == [(V, C), (V, C)]
+    # a loaded map keeps the stored state as it is, and its first read
+    # normalizes it once
+    path = tmp_path / "map.svx"
+    vm.save(path)
+    del normalized_shapes[:]
+    read_everything(VoxelMap.load(path))
+    assert normalized_shapes == [(V, C)]
