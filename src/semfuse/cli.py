@@ -41,7 +41,10 @@ def main():
               help="Override the scene's scan count.")
 def synth(scene, out_dir, seed, n_scans):
     """Generate a synthetic sensor log (scans, frames, detections, ground truth)."""
-    meta = runner.generate_log(scene, out_dir, seed=seed, n_scans=n_scans)
+    try:
+        meta = runner.generate_log(scene, out_dir, seed=seed, n_scans=n_scans)
+    except (ParseError, InvalidInputError, OSError) as e:
+        _fail(e)
     click.echo(json.dumps(meta))
 
 

@@ -31,6 +31,11 @@ from .synth import (NoiseSpec, forward_camera_extrinsic, load_scene,
 from .voxelmap import VoxelMap
 
 
+# the JSON value types a config field takes, by the type of its default; a
+# bool is neither an int nor a float
+_CONFIG_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
 @dataclass
 class RunConfig:
     """Paths and knobs shared by the pipeline commands."""
@@ -58,8 +63,9 @@ class RunConfig:
     @classmethod
     def load(cls, path: str, **overrides) -> "RunConfig":
         """A JSON object of RunConfig fields, with the non-None `overrides`
-        on top. A file that is not valid JSON, not an object, or names an
-        unknown key raises ParseError naming the file."""
+        on top. A file that is not valid JSON, not an object, names an
+        unknown key, or gives a value of the wrong type raises ParseError
+        naming the file."""
         with open(path) as f:
             try:
                 cfg = json.load(f)
@@ -67,9 +73,16 @@ class RunConfig:
                 raise fileio.ParseError(f"{path}: {e}") from e
         if not isinstance(cfg, dict):
             raise fileio.ParseError(f"{path}: config is not a JSON object")
-        unknown = sorted(set(cfg) - set(cls.__dataclass_fields__))
+        fields = cls.__dataclass_fields__
+        unknown = sorted(set(cfg) - set(fields))
         if unknown:
             raise fileio.ParseError(f"{path}: unknown config key {unknown[0]!r}")
+        for key, value in cfg.items():
+            want = type(fields[key].default)
+            if type(value) not in _CONFIG_TYPES[want]:
+                raise fileio.ParseError(
+                    f"{path}: config key {key!r} must be {want.__name__}, "
+                    f"got {type(value).__name__}")
         cfg.update({k: v for k, v in overrides.items() if v is not None})
         rc = cls(**cfg)
         # relative paths resolve against the config file
@@ -95,40 +108,48 @@ def generate_log(scene_path: str, out_dir: str, seed: int = 0,
                  camera_noise: NoiseSpec | None = None,
                  labelset: LabelSet | None = None) -> dict:
     """Generate a complete file-based sensor log plus ground truth from a
-    scene description. Deterministic given the seed."""
+    scene description. Deterministic given the seed. A scene file that is
+    incomplete or invalid raises ParseError naming it, before `out_dir` is
+    made."""
     labelset = labelset or LabelSet.default()
     scene, spec = load_scene(scene_path, labelset)
-    noise_cfg = NoiseSpec(**spec.get("noise", {}))
-    lidar_noise = lidar_noise or noise_cfg
-    camera_noise = camera_noise or noise_cfg
+    # the rest of the spec is read before the log directory is made
+    try:
+        noise_cfg = NoiseSpec(**spec.get("noise", {}))
+        lidar_noise = lidar_noise or noise_cfg
+        camera_noise = camera_noise or noise_cfg
+
+        sensors = spec["sensors"]
+        lid = sensors["lidar"]
+        model = SphericalModel(width=lid["w"], height=lid["h"],
+                               f_up=np.deg2rad(lid["f_up_deg"]),
+                               f_down=np.deg2rad(lid["f_down_deg"]),
+                               r_max=lid["r_max_m"])
+        camc = sensors["camera"]
+        cam = CameraModel(fx=camc["fx"], fy=camc["fy"], cx=camc["cx"], cy=camc["cy"],
+                          width=camc["width"], height=camc["height"],
+                          T_cam_base=forward_camera_extrinsic())
+        T_base_lidar = np.eye(4)
+
+        tspec = spec["trajectory"]
+        n = n_scans or tspec["n_scans"]
+        dt = tspec["dt"]
+        start = np.array(tspec["start"], dtype=np.float64)
+        vel = np.array(tspec.get("velocity", [0, 0, 0]), dtype=np.float64)
+        yaw_rate = np.deg2rad(tspec.get("yaw_rate_deg", 0.0))
+
+        def _quat(t):
+            half = 0.5 * yaw_rate * t
+            return np.array([np.cos(half), 0.0, 0.0, np.sin(half)])
+
+        poses = [Pose(i * dt, start + vel * (i * dt), _quat(i * dt))
+                 for i in range(max(n, 2))]
+        traj = Trajectory(poses)
+    except KeyError as e:
+        raise fileio.ParseError(f"{scene_path}: scene has no {e} key") from e
+    except (TypeError, ValueError) as e:
+        raise fileio.ParseError(f"{scene_path}: {e}") from e
     rng = np.random.default_rng(seed)
-
-    sensors = spec["sensors"]
-    lid = sensors["lidar"]
-    model = SphericalModel(width=lid["w"], height=lid["h"],
-                           f_up=np.deg2rad(lid["f_up_deg"]),
-                           f_down=np.deg2rad(lid["f_down_deg"]),
-                           r_max=lid["r_max_m"])
-    camc = sensors["camera"]
-    cam = CameraModel(fx=camc["fx"], fy=camc["fy"], cx=camc["cx"], cy=camc["cy"],
-                      width=camc["width"], height=camc["height"],
-                      T_cam_base=forward_camera_extrinsic())
-    T_base_lidar = np.eye(4)
-
-    tspec = spec["trajectory"]
-    n = n_scans or tspec["n_scans"]
-    dt = tspec["dt"]
-    start = np.array(tspec["start"], dtype=np.float64)
-    vel = np.array(tspec.get("velocity", [0, 0, 0]), dtype=np.float64)
-    yaw_rate = np.deg2rad(tspec.get("yaw_rate_deg", 0.0))
-
-    def _quat(t):
-        half = 0.5 * yaw_rate * t
-        return np.array([np.cos(half), 0.0, 0.0, np.sin(half)])
-
-    poses = [Pose(i * dt, start + vel * (i * dt), _quat(i * dt))
-             for i in range(max(n, 2))]
-    traj = Trajectory(poses)
 
     os.makedirs(out_dir, exist_ok=True)
     scans_dir = os.path.join(out_dir, "scans")

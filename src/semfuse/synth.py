@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fileio import ParseError
 from .fusion import Detection, SegmentationFrame
 from .geometry import (CameraModel, Pose, RangeImage, SphericalModel, invert,
                        spherical_ray_directions)
@@ -34,6 +35,14 @@ def forward_camera_extrinsic(offset=(0.0, 0.0, 0.0)) -> np.ndarray:
     return invert(T_base_cam)
 
 
+def _ray_origin(origin) -> np.ndarray:
+    """The one origin every ray of a cast starts from, as a float (3,)."""
+    origin = np.asarray(origin, dtype=np.float64)
+    if origin.shape != (3,):
+        raise InvalidInputError(f"ray origin must have shape (3,), got {origin.shape}")
+    return origin
+
+
 @dataclass
 class Primitive:
     shape: str  # "plane" | "box" | "cylinder"
@@ -46,6 +55,11 @@ class Primitive:
         self.position = np.asarray(self.position, dtype=np.float64)
         self.size = np.asarray(self.size, dtype=np.float64)
         self.velocity = np.asarray(self.velocity, dtype=np.float64)
+        for name in ("position", "size", "velocity"):
+            if getattr(self, name).shape != (3,):
+                raise InvalidInputError(
+                    f"primitive {name} must have 3 entries, got shape "
+                    f"{getattr(self, name).shape}")
         if self.shape not in ("plane", "box", "cylinder"):
             raise InvalidInputError(f"unknown primitive shape {self.shape!r}")
         if np.any(self.size < 0):
@@ -54,34 +68,40 @@ class Primitive:
     def position_at(self, t: float) -> np.ndarray:
         return self.position + self.velocity * t
 
-    def intersect(self, origins: np.ndarray, dirs: np.ndarray, t: float) -> np.ndarray:
-        """Ray-primitive distance per ray; inf where missed."""
+    def intersect(self, origin: np.ndarray, dirs: np.ndarray, t: float) -> np.ndarray:
+        """Distance along each ray from the one `origin` (3,); inf where
+        missed."""
+        origin = _ray_origin(origin)
         pos = self.position_at(t)
-        n = len(origins)
-        out = np.full(n, np.inf)
+        out = np.full(len(dirs), np.inf)
         if self.shape == "plane":
             # horizontal plane z = pos.z
-            dz = dirs[:, 2]
             with np.errstate(divide="ignore", invalid="ignore"):
-                s = (pos[2] - origins[:, 2]) / dz
+                s = (pos[2] - origin[2]) / dirs[:, 2]
             hit = np.isfinite(s) & (s > 1e-9)
             out[hit] = s[hit]
         elif self.shape == "box":
+            # slab test axis by axis; fmax/fmin skip the NaN of a ray that
+            # is parallel to a slab and starts on its plane
             lo = pos - 0.5 * self.size
             hi = pos + 0.5 * self.size
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t1 = (lo - origins) / dirs
-                t2 = (hi - origins) / dirs
-            tmin = np.nanmax(np.minimum(t1, t2), axis=1)
-            tmax = np.nanmin(np.maximum(t1, t2), axis=1)
+            tmin = tmax = None
+            for a in range(3):
+                d = dirs[:, a]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    t1 = (lo[a] - origin[a]) / d
+                    t2 = (hi[a] - origin[a]) / d
+                near, far = np.minimum(t1, t2), np.maximum(t1, t2)
+                tmin = near if tmin is None else np.fmax(tmin, near)
+                tmax = far if tmax is None else np.fmin(tmax, far)
             hit = (tmax >= tmin) & (tmax > 1e-9)
             s = np.where(tmin > 1e-9, tmin, tmax)
             out[hit] = s[hit]
         else:  # cylinder, vertical axis through pos, z in [pos.z, pos.z + height]
             r = 0.5 * self.size[0]
             h = self.size[2]
-            ox = origins[:, 0] - pos[0]
-            oy = origins[:, 1] - pos[1]
+            ox = origin[0] - pos[0]
+            oy = origin[1] - pos[1]
             dx, dy = dirs[:, 0], dirs[:, 1]
             a = dx * dx + dy * dy
             b = 2 * (ox * dx + oy * dy)
@@ -91,10 +111,21 @@ class Primitive:
             sq = np.sqrt(np.where(ok, disc, 0.0))
             for sign in (-1.0, 1.0):
                 s = (-b + sign * sq) / np.where(ok, 2 * a, 1.0)
-                z = origins[:, 2] + s * dirs[:, 2]
+                z = origin[2] + s * dirs[:, 2]
                 hit = ok & (s > 1e-9) & (z >= pos[2]) & (z <= pos[2] + h)
                 out = np.where(hit & (s < out), s, out)
         return out
+
+    def bounding_sphere(self, t: float):
+        """(centre, radius) of a sphere holding a box or cylinder at time t;
+        None for a plane."""
+        pos = self.position_at(t)
+        if self.shape == "box":
+            return pos, 0.5 * float(np.linalg.norm(self.size))
+        if self.shape == "cylinder":
+            half_h = 0.5 * self.size[2]
+            return pos + [0.0, 0.0, half_h], float(np.hypot(0.5 * self.size[0], half_h))
+        return None
 
     def sample_surface(self, t: float, n: int = 64) -> np.ndarray:
         """Surface sample points for silhouette bounding boxes."""
@@ -137,38 +168,78 @@ class Scene:
     primitives: list[Primitive]
     labelset: LabelSet
 
-    def cast(self, origins: np.ndarray, dirs: np.ndarray, t: float = 0.0):
-        """Nearest-hit ray cast; returns (distance, class index), MISS where
-        nothing is hit."""
-        n = len(origins)
+    def cast(self, origin: np.ndarray, dirs: np.ndarray, t: float = 0.0):
+        """Nearest-hit ray cast from one `origin` (3,) along each of `dirs`
+        (N, 3), which need not be unit vectors; returns (distance, class
+        index), MISS where nothing is hit. On equal distances the earlier
+        primitive wins."""
+        origin = _ray_origin(origin)
+        n = len(dirs)
         best = np.full(n, np.inf)
         cls = np.full(n, MISS, dtype=np.int64)
+        every = np.arange(n)
+        norms = None
         for prim in self.primitives:
-            d = prim.intersect(origins, dirs, t)
-            closer = d < best
-            best[closer] = d[closer]
-            cls[closer] = prim.class_index
+            rows = every
+            sphere = prim.bounding_sphere(t)
+            if sphere is not None:
+                # padded so that rounding in the exact test never hits a ray
+                # the cone below leaves out
+                centre, radius = sphere
+                radius = radius * 1.001 + 1e-6
+                to_centre = centre - origin
+                dist = float(np.linalg.norm(to_centre))
+                if dist > radius:
+                    # a ray reaches the sphere only within its angular radius
+                    if norms is None:
+                        norms = np.linalg.norm(dirs, axis=1)
+                    cos_min = np.sqrt(1.0 - (radius / dist) ** 2) - 1e-6
+                    rows = np.flatnonzero(dirs @ (to_centre / dist) >= cos_min * norms)
+            d = prim.intersect(origin, dirs if rows is every else dirs[rows], t)
+            closer = d < best[rows]
+            won = rows[closer]
+            best[won] = d[closer]
+            cls[won] = prim.class_index
         return best, cls
 
 
 def scene_from_spec(spec: dict, labelset: LabelSet) -> Scene:
     prims = []
-    for p in spec["primitives"]:
-        prims.append(Primitive(
-            shape=p["shape"],
-            position=p["position"],
-            size=p.get("size", [0, 0, 0]),
-            class_index=labelset.index(p["class"]),
-            velocity=p.get("velocity", [0, 0, 0]),
-        ))
+    for i, p in enumerate(spec["primitives"]):
+        try:
+            if p["class"] not in labelset.names:
+                raise InvalidInputError(f"unknown class {p['class']!r}")
+            prims.append(Primitive(
+                shape=p["shape"],
+                position=p["position"],
+                size=p.get("size", [0, 0, 0]),
+                class_index=labelset.index(p["class"]),
+                velocity=p.get("velocity", [0, 0, 0]),
+            ))
+        except KeyError as e:
+            raise InvalidInputError(f"primitive {i} has no {e} field") from e
+        except InvalidInputError as e:
+            raise InvalidInputError(f"primitive {i}: {e}") from e
     return Scene(prims, labelset)
 
 
 def load_scene(path, labelset: LabelSet | None = None):
+    """(Scene, spec) from a scene file. A file that is not a JSON object,
+    lacks `primitives`, or describes a primitive that is incomplete or
+    invalid raises ParseError naming the file."""
     with open(path) as f:
-        spec = json.load(f)
-    ls = labelset or LabelSet.default()
-    return scene_from_spec(spec, ls), spec
+        try:
+            spec = json.load(f)
+        except ValueError as e:
+            raise ParseError(f"{path}: {e}") from e
+    if not isinstance(spec, dict):
+        raise ParseError(f"{path}: scene is not a JSON object")
+    try:
+        return scene_from_spec(spec, labelset or LabelSet.default()), spec
+    except KeyError as e:
+        raise ParseError(f"{path}: scene has no {e} key") from e
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"{path}: {e}") from e
 
 
 def simulate_scan(scene: Scene, pose: Pose, model: SphericalModel,
@@ -187,8 +258,7 @@ def simulate_scan(scene: Scene, pose: Pose, model: SphericalModel,
     dirs_local = spherical_ray_directions(model).reshape(-1, 3)
     R = pose.matrix()[:3, :3]
     dirs = dirs_local @ R.T
-    origins = np.broadcast_to(pose.translation, dirs.shape)
-    dist, cls = scene.cast(origins, dirs, t)
+    dist, cls = scene.cast(pose.translation, dirs, t)
     hit = (cls != MISS) & (dist <= model.r_max)
     rng_noisy = dist.copy()
     if noise.range_sigma > 0:
@@ -249,8 +319,7 @@ def simulate_segmentation(scene: Scene, pose_cam: Pose, cam: CameraModel,
     unit = d_cam / norms
     R = pose_cam.matrix()[:3, :3]
     dirs = unit @ R.T
-    origins = np.broadcast_to(pose_cam.translation, dirs.shape)
-    dist, cls = scene.cast(origins, dirs, t)
+    dist, cls = scene.cast(pose_cam.translation, dirs, t)
     hit = cls != MISS
     z = dist * unit[:, 2]  # camera-frame depth
     depth = np.where(hit, z, np.nan).reshape(H, W)

@@ -504,12 +504,13 @@ class VoxelMap:
             raise InvalidInputError(f"record {i}: {what} voxel key {keys[i]}")
         if (keys[:1] < 0).any():
             raise InvalidInputError(f"record 0: negative voxel key {keys[0]}")
-        vm._grow(len(rec))
-        vm._L_inf[: len(rec)] = logp
-        vm._pos_sum[: len(rec)] = mean * n[:, None]
-        vm._n_points[: len(rec)] = n
-        vm._row_packed[: len(rec)] = keys
-        vm._sorted_packed = keys
+        # the decoded columns are fresh arrays, so they become the map's own
+        # at capacity len(rec); the sorted index is a copy of the row keys
+        vm._L_inf = logp
+        vm._pos_sum = mean * n[:, None]
+        vm._n_points = n
+        vm._row_packed = keys
+        vm._sorted_packed = keys.copy()
         vm._sorted_rows = np.arange(len(rec))
         vm._size = len(rec)
         return vm

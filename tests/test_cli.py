@@ -75,6 +75,49 @@ def test_synth_deterministic(tmp_path, runner):
         np.testing.assert_array_equal(fa["lidar_probs"], fb["lidar_probs"])
 
 
+def scene_edit(edit):
+    """The person_wall scene spec with `edit` applied to it."""
+    spec = read_json(scene_path("person_wall"))
+    edit(spec)
+    return json.dumps(spec)
+
+
+@pytest.mark.parametrize("text, what", [
+    pytest.param('{"primitives": [', "Expecting", id="not-json"),
+    pytest.param("[]", "scene is not a JSON object", id="not-an-object"),
+    pytest.param(scene_edit(lambda s: s.pop("trajectory")),
+                 "scene has no 'trajectory' key", id="missing-key"),
+    pytest.param(scene_edit(lambda s: s["sensors"]["lidar"].pop("w")),
+                 "scene has no 'w' key", id="missing-sensor-key"),
+    pytest.param(scene_edit(lambda s: s.update({"noise": {"flip_rate": 0.1}})),
+                 "unexpected keyword argument 'flip_rate'", id="unknown-noise-key"),
+    pytest.param(scene_edit(lambda s: s["primitives"][1].pop("position")),
+                 "primitive 1 has no 'position' field", id="missing-primitive-field"),
+    pytest.param(scene_edit(lambda s: s["primitives"][2].update({"class": "dragon"})),
+                 "primitive 2: unknown class 'dragon'", id="unknown-class"),
+    pytest.param(scene_edit(lambda s: s["primitives"][1].update({"shape": "cone"})),
+                 "primitive 1: unknown primitive shape 'cone'", id="unknown-shape"),
+    pytest.param(scene_edit(lambda s: s["primitives"][1].update({"size": [0.4, -12, 4]})),
+                 "primitive 1: primitive sizes must be non-negative", id="negative-size"),
+    pytest.param(scene_edit(lambda s: s["primitives"][1].update({"position": [8, 0]})),
+                 "primitive 1: primitive position must have 3 entries", id="short-position"),
+])
+def test_synth_bad_scene_exits_naming_the_file(runner, tmp_path, text, what):
+    """A scene file that is not a JSON object, lacks a key, names an unknown
+    noise setting, or describes a primitive of an unknown class or shape,
+    of negative size or with a short position fails with one error line
+    naming the file, before the log directory is made."""
+    bad = tmp_path / "scene.json"
+    bad.write_text(text)
+    out = tmp_path / "log"
+    res = runner.invoke(main, ["synth", "--scene", str(bad), "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.output.startswith(f"error: {bad}: ") and what in res.output
+    assert len(res.output.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_fuse_map_eval_pseudolabel_pipeline(log_dir, runner, tmp_path):
     config = os.path.join(log_dir, "config.json")
     out_dir = str(tmp_path / "out")
@@ -141,18 +184,23 @@ def absolute_config(log_dir, out):
 
 
 @pytest.mark.parametrize("text, what", [
-    pytest.param(None, "unknown config key 'threshhold'", id="misspelt-key"),
+    pytest.param({"threshhold": 0.99}, "unknown config key 'threshhold'",
+                 id="misspelt-key"),
+    pytest.param({"voxel_size": "0.25"},
+                 "config key 'voxel_size' must be float, got str", id="number-as-string"),
+    pytest.param({"window": True}, "config key 'window' must be int, got bool",
+                 id="bool-for-int"),
     pytest.param('{"window": 2,', "Expecting", id="not-json"),
     pytest.param('[["window", 2]]', "config is not a JSON object", id="not-an-object"),
 ])
 def test_config_file_faults_exit_naming_the_file(log_dir, runner, tmp_path, text, what):
-    """A config that misspells a key, is not JSON, or is not a JSON object
-    fails every command with one error line naming the file, before any
-    work; a misspelt key is not dropped for its default."""
+    """A config that misspells a key, gives a value of the wrong type, is
+    not JSON, or is not a JSON object fails every command with one error
+    line naming the file, before any work; a misspelt key is not dropped
+    for its default."""
     bad = tmp_path / "config.json"
-    if text is None:
-        text = json.dumps({**absolute_config(log_dir, tmp_path / "out"),
-                           "threshhold": 0.99})
+    if isinstance(text, dict):
+        text = json.dumps({**absolute_config(log_dir, tmp_path / "out"), **text})
     bad.write_text(text)
     gt_path = os.path.join(log_dir, "gt_map.svx")
     for args in (["fuse"], ["map"], ["pseudolabel", "--map", gt_path],

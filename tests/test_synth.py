@@ -1,5 +1,10 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from semfuse.geometry import CameraModel, Pose, SphericalModel
 from semfuse.labels import InvalidInputError, softmax
@@ -30,27 +35,27 @@ def test_primitive_validation():
 def test_plane_intersection_exact():
     """A downward ray from 10 m above a ground plane hits at exactly 10 m."""
     prim = Primitive("plane", [0, 0, 0], [0, 0, 0], 4)
-    d = prim.intersect(np.array([[0.0, 0, 10.0]]), np.array([[0.0, 0, -1.0]]), 0.0)
+    d = prim.intersect(np.array([0.0, 0, 10.0]), np.array([[0.0, 0, -1.0]]), 0.0)
     assert d[0] == pytest.approx(10.0)
     # a ray parallel to the plane misses
-    d = prim.intersect(np.array([[0.0, 0, 10.0]]), np.array([[1.0, 0, 0.0]]), 0.0)
+    d = prim.intersect(np.array([0.0, 0, 10.0]), np.array([[1.0, 0, 0.0]]), 0.0)
     assert np.isinf(d[0])
 
 
 def test_box_intersection_exact():
     prim = Primitive("box", [5.0, 0, 0], [2.0, 2.0, 2.0], 3)
-    d = prim.intersect(np.array([[0.0, 0, 0]]), np.array([[1.0, 0, 0]]), 0.0)
+    d = prim.intersect(np.array([0.0, 0, 0]), np.array([[1.0, 0, 0]]), 0.0)
     assert d[0] == pytest.approx(4.0)  # near face at x = 4
-    d = prim.intersect(np.array([[0.0, 0, 5.0]]), np.array([[1.0, 0, 0]]), 0.0)
+    d = prim.intersect(np.array([0.0, 0, 5.0]), np.array([[1.0, 0, 0]]), 0.0)
     assert np.isinf(d[0])  # passes above the box
 
 
 def test_cylinder_intersection_exact():
     prim = Primitive("cylinder", [5.0, 0, 0], [2.0, 0, 3.0], 6)
-    d = prim.intersect(np.array([[0.0, 0, 1.0]]), np.array([[1.0, 0, 0]]), 0.0)
+    d = prim.intersect(np.array([0.0, 0, 1.0]), np.array([[1.0, 0, 0]]), 0.0)
     assert d[0] == pytest.approx(4.0)  # radius 1, wall at x = 4
     # above the cylinder cap height
-    d = prim.intersect(np.array([[0.0, 0, 4.0]]), np.array([[1.0, 0, 0]]), 0.0)
+    d = prim.intersect(np.array([0.0, 0, 4.0]), np.array([[1.0, 0, 0]]), 0.0)
     assert np.isinf(d[0])
 
 
@@ -63,16 +68,174 @@ def test_scene_nearest_hit_wins():
     near = Primitive("box", [3.0, 0, 0], [1, 1, 1], 1)
     far = Primitive("box", [8.0, 0, 0], [1, 1, 1], 2)
     scene = Scene([far, near], None)
-    dist, cls = scene.cast(np.array([[0.0, 0, 0]]), np.array([[1.0, 0, 0]]))
+    dist, cls = scene.cast(np.array([0.0, 0, 0]), np.array([[1.0, 0, 0]]))
     assert dist[0] == pytest.approx(2.5)
     assert cls[0] == 1
 
 
 def test_empty_scene_all_miss():
     scene = Scene([], None)
-    dist, cls = scene.cast(np.zeros((5, 3)), np.tile([1.0, 0, 0], (5, 1)))
+    dist, cls = scene.cast(np.zeros(3), np.tile([1.0, 0, 0], (5, 1)))
     assert np.isinf(dist).all()
     assert (cls == MISS).all()
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (4,), (1, 3), (5, 3)])
+def test_ray_origin_of_any_other_shape_is_rejected(shape):
+    """Every ray of a cast starts from one (3,) origin; an origin per ray
+    is refused by name, by the scene and by each primitive."""
+    dirs = np.tile([1.0, 0, 0], (5, 1))
+    prim = Primitive("box", [5.0, 0, 0], [2.0, 2.0, 2.0], 3)
+    with pytest.raises(InvalidInputError, match=r"origin must have shape \(3,\)"):
+        Scene([prim], None).cast(np.zeros(shape), dirs)
+    with pytest.raises(InvalidInputError, match=rf"got {re.escape(str(shape))}"):
+        prim.intersect(np.zeros(shape), dirs, 0.0)
+
+
+# --- the per-ray cast before one origin and culling, kept as an oracle -------
+
+
+def parent_intersect(prim, origins, dirs, t):
+    """Primitive.intersect as it was: (N, 3) origins, (N, 3) slab
+    temporaries and nanmax/nanmin, every ray tested."""
+    pos = prim.position_at(t)
+    out = np.full(len(origins), np.inf)
+    if prim.shape == "plane":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (pos[2] - origins[:, 2]) / dirs[:, 2]
+        hit = np.isfinite(s) & (s > 1e-9)
+        out[hit] = s[hit]
+    elif prim.shape == "box":
+        lo = pos - 0.5 * prim.size
+        hi = pos + 0.5 * prim.size
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (lo - origins) / dirs
+            t2 = (hi - origins) / dirs
+        with warnings.catch_warnings():
+            # a zero direction from a corner of the box is NaN on every axis
+            warnings.simplefilter("ignore", RuntimeWarning)
+            tmin = np.nanmax(np.minimum(t1, t2), axis=1)
+            tmax = np.nanmin(np.maximum(t1, t2), axis=1)
+        hit = (tmax >= tmin) & (tmax > 1e-9)
+        s = np.where(tmin > 1e-9, tmin, tmax)
+        out[hit] = s[hit]
+    else:
+        r = 0.5 * prim.size[0]
+        h = prim.size[2]
+        ox = origins[:, 0] - pos[0]
+        oy = origins[:, 1] - pos[1]
+        dx, dy = dirs[:, 0], dirs[:, 1]
+        a = dx * dx + dy * dy
+        b = 2 * (ox * dx + oy * dy)
+        c = ox * ox + oy * oy - r * r
+        disc = b * b - 4 * a * c
+        ok = (disc >= 0) & (a > 1e-12)
+        sq = np.sqrt(np.where(ok, disc, 0.0))
+        for sign in (-1.0, 1.0):
+            s = (-b + sign * sq) / np.where(ok, 2 * a, 1.0)
+            z = origins[:, 2] + s * dirs[:, 2]
+            hit = ok & (s > 1e-9) & (z >= pos[2]) & (z <= pos[2] + h)
+            out = np.where(hit & (s < out), s, out)
+    return out
+
+
+def parent_cast(prims, origins, dirs, t):
+    best = np.full(len(origins), np.inf)
+    cls = np.full(len(origins), MISS, dtype=np.int64)
+    for prim in prims:
+        d = parent_intersect(prim, origins, dirs, t)
+        closer = d < best
+        best[closer] = d[closer]
+        cls[closer] = prim.class_index
+    return best, cls
+
+
+# quarter-metre grid values put origins and ray targets exactly on slab
+# planes, edges and corners; rounded floats give every other slope
+coord = st.one_of(st.integers(-16, 16).map(lambda k: k / 4),
+                  st.floats(-4, 4).map(lambda x: round(x, 6)))
+extent = st.one_of(st.just(0.0), st.integers(0, 12).map(lambda k: k / 4),
+                   st.floats(0, 3).map(lambda x: round(x, 6)))
+vec = st.tuples(coord, coord, coord).map(np.array)
+
+
+@st.composite
+def primitives(draw):
+    shape = draw(st.sampled_from(("plane", "box", "cylinder")))
+    size = draw(st.tuples(extent, extent, extent))
+    velocity = draw(st.one_of(st.just(np.zeros(3)), vec))
+    return Primitive(shape, draw(vec), size, draw(st.integers(0, 5)),
+                     velocity=velocity)
+
+
+def landmarks(prim, t):
+    """Points on and in a primitive at time t: a box's centre, face
+    centres, edge midpoints and corners; a cylinder's axis and rim."""
+    pos = prim.position_at(t)
+    if prim.shape == "box":
+        return [pos + 0.5 * prim.size * [sx, sy, sz]
+                for sx in (-1, 0, 1) for sy in (-1, 0, 1) for sz in (-1, 0, 1)]
+    if prim.shape == "cylinder":
+        r, h = 0.5 * prim.size[0], prim.size[2]
+        ang = np.arange(8) * np.pi / 4
+        return [pos + [r * np.cos(a), r * np.sin(a), z]
+                for a in ang for z in (0.0, 0.5 * h, h)] + [pos + [0, 0, 0.5 * h]]
+    return [pos]
+
+
+def tangents(prim, origin, t):
+    """Points where rays from `origin` graze a cylinder's wall."""
+    if prim.shape != "cylinder":
+        return []
+    pos = prim.position_at(t)
+    r, h = 0.5 * prim.size[0], prim.size[2]
+    off = origin[:2] - pos[:2]
+    reach = np.hypot(*off)
+    if reach <= r:
+        return []
+    base, spread = np.arctan2(off[1], off[0]), np.arccos(r / reach)
+    return [pos + [r * np.cos(base + sgn * spread), r * np.sin(base + sgn * spread), z]
+            for sgn in (-1, 1) for z in (0.0, 0.5 * h, h)]
+
+
+@st.composite
+def cast_cases(draw):
+    prims = draw(st.lists(primitives(), min_size=1, max_size=4))
+    t = draw(st.sampled_from((0.0, 0.5, 1.25)))
+    points = [p for prim in prims for p in landmarks(prim, t)]
+    # free, inside a primitive or on its surface, or on one of its slab planes
+    origin = draw(st.one_of(vec, st.sampled_from(points)))
+    if draw(st.booleans()):
+        keep = draw(st.integers(0, 2))
+        free = draw(vec)
+        free[keep] = draw(st.sampled_from(points))[keep]
+        origin = free
+    targets = points + [p for prim in prims for p in tangents(prim, origin, t)]
+    dirs = []
+    for _ in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(("free", "axis", "aim")))
+        if kind == "free":
+            d = draw(vec)
+        elif kind == "axis":
+            d = np.eye(3)[draw(st.integers(0, 2))] * draw(st.sampled_from((-1.0, 1.0)))
+        else:
+            d = draw(st.sampled_from(targets)) - origin
+        dirs.append(d * draw(st.sampled_from((1.0, 0.3, 7.0))))
+    return prims, origin, np.array(dirs), t
+
+
+@given(cast_cases())
+def test_cast_equals_per_ray_oracle(case):
+    """One origin with bounding-sphere culling gives the distances and
+    classes, bit for bit, of testing every ray against every primitive
+    from broadcast origins: for zero-size and moving primitives, origins
+    inside a primitive or on a slab plane, and axis-parallel, non-unit and
+    grazing rays."""
+    prims, origin, dirs, t = case
+    dist, cls = Scene(prims, None).cast(origin, dirs, t)
+    want_dist, want_cls = parent_cast(prims, np.broadcast_to(origin, dirs.shape), dirs, t)
+    assert np.array_equal(dist, want_dist)
+    assert np.array_equal(cls, want_cls)
 
 
 # --- scene loading -----------------------------------------------------------
@@ -89,7 +252,7 @@ def test_load_bundled_scene(labelset):
 def test_scene_from_spec_unknown_class(labelset):
     spec = {"primitives": [{"shape": "box", "position": [0, 0, 0],
                             "size": [1, 1, 1], "class": "dragon"}]}
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInputError, match="primitive 0: unknown class 'dragon'"):
         scene_from_spec(spec, labelset)
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import struct
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -735,6 +736,29 @@ def test_loaded_map_accepts_new_scans(tmp_path):
     q = again.query_voxel((0, 0, 0))
     expect = bayes_fuse(one_hot(0, 3, 0.8), one_hot(0, 3, 0.8))
     np.testing.assert_allclose(q.probs, expect, atol=1e-5)
+
+
+def test_load_keeps_the_decoded_columns_without_a_second_copy(tmp_path, rng):
+    """The decoded snapshot columns become the map's own arrays: a load
+    peaks below twice the bytes the loaded map keeps (copying the columns
+    into fresh capacity arrays peaked at about 2.5 times)."""
+    vm = VoxelMap(voxel_size=0.25, num_classes=15)
+    n = 20_000
+    vm.integrate_scan(cloud(rng.uniform(0, 40, (n, 3)),
+                            rng.dirichlet(np.ones(15), n)), 0)
+    path = tmp_path / "map.svx"
+    vm.save(path)
+    tracemalloc.start()
+    try:
+        again = VoxelMap.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    names = again._PER_VOXEL + ("_sorted_packed", "_sorted_rows")
+    kept = sum(getattr(again, name).nbytes for name in names)
+    assert len(again) == len(vm) > 0.9 * n
+    assert peak < 2 * kept, (peak, kept)
+    assert not np.shares_memory(again._sorted_packed, again._row_packed)
 
 
 def test_snapshot_header_naming_a_policy_still_loads(tmp_path, rng):
