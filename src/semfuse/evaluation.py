@@ -18,8 +18,8 @@ class ConfigurationError(ValueError):
 
 @dataclass
 class ConfusionAccumulator:
-    """Per-class TP/FP/FN counters; a mergeable monoid so evaluation can be
-    sharded and combined."""
+    """Per-class TP/FP/FN counters that batches of (predicted, reference)
+    class pairs are added into."""
 
     num_classes: int
     tp: np.ndarray = field(default=None)
@@ -39,15 +39,6 @@ class ConfusionAccumulator:
         self.tp += np.bincount(reference[match], minlength=self.num_classes)
         self.fp += np.bincount(predicted[~match], minlength=self.num_classes)
         self.fn += np.bincount(reference[~match], minlength=self.num_classes)
-
-    def merge(self, other: "ConfusionAccumulator") -> "ConfusionAccumulator":
-        if other.num_classes != self.num_classes:
-            raise ConfigurationError("cannot merge accumulators of different sizes")
-        out = ConfusionAccumulator(self.num_classes)
-        out.tp = self.tp + other.tp
-        out.fp = self.fp + other.fp
-        out.fn = self.fn + other.fn
-        return out
 
     def iou(self) -> np.ndarray:
         """IoU = TP / (TP + FP + FN); NaN for classes never observed."""
@@ -121,14 +112,13 @@ def accumulate_scan_vs_map(acc: ConfusionAccumulator, cloud, reference: VoxelMap
     acc.add(pred, ref)
 
 
-def iou_scan_vs_map(clouds, reference: VoxelMap, labelset: LabelSet,
-                    restrict: CameraFrustum | None = None) -> IoUResult:
+def iou_scan_vs_map(clouds, reference: VoxelMap, labelset: LabelSet) -> IoUResult:
     if not isinstance(clouds, (list, tuple)):
         clouds = [clouds]
     acc = ConfusionAccumulator(reference.num_classes)
     for cloud in clouds:
-        accumulate_scan_vs_map(acc, cloud, reference, labelset, restrict)
-    return IoUResult(acc.iou(), labelset, restricted_fov=restrict is not None)
+        accumulate_scan_vs_map(acc, cloud, reference, labelset)
+    return IoUResult(acc.iou(), labelset)
 
 
 def iou_map_vs_map(pred: VoxelMap, reference: VoxelMap,

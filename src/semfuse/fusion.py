@@ -165,8 +165,7 @@ def fuse_cloud(xyz: np.ndarray, t_scan: float,
                model: SphericalModel,
                num_classes: int,
                s: float = DEFAULT_CLUSTER_FACTOR,
-               intensity: np.ndarray | None = None,
-               frame_id: str = "lidar") -> SemanticCloud:
+               intensity: np.ndarray | None = None) -> SemanticCloud:
     """Fuse camera semantics and detections into a LiDAR point cloud.
 
     With lidar_probs=None the LiDAR prior is uniform (camera-only mode).
@@ -219,8 +218,7 @@ def fuse_cloud(xyz: np.ndarray, t_scan: float,
             out = out[np.argmax(probs[rows[out]], axis=-1) == det.class_index]
             probs[rows[out]] = pre[out]
 
-    return SemanticCloud(xyz, probs, intensity=intensity, frame_id=frame_id,
-                         timestamp=t_scan)
+    return SemanticCloud(xyz, probs, intensity=intensity, timestamp=t_scan)
 
 
 def warp_previous_frame(prev: SegmentationFrame, T_cur_prev: np.ndarray,

@@ -106,8 +106,7 @@ def generate_pseudolabels(vmap: VoxelMap, scans: list[ScanRecord],
                           labelset: LabelSet, model: SphericalModel,
                           policy: ScanWindowPolicy | None = None,
                           threshold: float = DEFAULT_CONFIDENCE,
-                          provenance: str = "camonly_map",
-                          horizon: str = "infinite") -> list[PseudoLabelImage]:
+                          provenance: str = "camonly_map") -> list[PseudoLabelImage]:
     """Render one pseudo-label image per scan from the aggregated map.
 
     Static-class voxels are rendered from the full map (mean positions);
@@ -127,7 +126,7 @@ def generate_pseudolabels(vmap: VoxelMap, scans: list[ScanRecord],
     if len(vmap) == 0:
         warnings.warn("empty map: pseudo-labels are all unlabeled", stacklevel=2)
 
-    map_cloud = vmap.export_cloud(horizon)
+    map_cloud = vmap.export_cloud()
     map_cls = np.argmax(map_cloud.probs, axis=-1)
     map_conf = np.take_along_axis(map_cloud.probs, map_cls[:, None], axis=-1)[:, 0]
     dyn_sel = dynamic[map_cls]

@@ -127,19 +127,6 @@ class LabelSet:
             json.dump(self.config_dict(), f, indent=2)
 
 
-def validate_distribution(p: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if not np.all(np.isfinite(p)):
-        raise InvalidInputError("distribution has non-finite entries")
-    if np.any(p < -tol) or abs(p.sum() - 1.0) > tol:
-        raise InvalidInputError(f"not a probability distribution (sum={p.sum()})")
-    return p
-
-
-def uniform(num_classes: int) -> np.ndarray:
-    return np.full(num_classes, 1.0 / num_classes)
-
-
 def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     """Normalized exponential with max-subtraction for overflow safety."""
     c = np.asarray(scores, dtype=np.float64)
@@ -194,21 +181,12 @@ def log_normalize(L: np.ndarray, axis: int = -1) -> np.ndarray:
     return L - np.expand_dims(logsumexp(L, axis=axis), axis)
 
 
-def log_from_prob(p: np.ndarray) -> np.ndarray:
-    """Clamped natural log of a probability vector; output is finite everywhere."""
-    return np.log(np.maximum(np.asarray(p, dtype=np.float64), EPS_FLOOR))
-
-
 def exp_normalized(Ln: np.ndarray, axis: int = -1) -> np.ndarray:
     """Distributions from normalized log states, in place: exp, then divide
     by the sum along `axis` so that rounding leaves each one summing to 1."""
     np.exp(Ln, out=Ln)
     Ln /= Ln.sum(axis=axis, keepdims=True)
     return Ln
-
-
-def prob_from_log(L: np.ndarray, axis: int = -1) -> np.ndarray:
-    return exp_normalized(log_normalize(L, axis=axis), axis=axis)
 
 
 def argmax_class(values: np.ndarray, axis: int = -1) -> np.ndarray | int:

@@ -24,7 +24,7 @@ from .geometry import (CameraModel, Pose, SphericalModel, Trajectory, apply,
                        invert, render_range_image)
 from .labelprop import (ScanRecord, ScanWindowPolicy, export_training_pair,
                         generate_pseudolabels, ground_plane_correction)
-from .labels import LabelSet, softmax
+from .labels import InvalidInputError, LabelSet, softmax
 from .synth import (NoiseSpec, forward_camera_extrinsic, load_scene,
                     observed_probs, simulate_detections, simulate_scan,
                     simulate_segmentation)
@@ -60,12 +60,17 @@ class RunConfig:
     ground_correction: bool = False
     include_intensity: bool = False
 
+    def __post_init__(self):
+        if self.horizon not in ("infinite", "finite"):
+            raise InvalidInputError(
+                f"horizon must be 'infinite' or 'finite', got {self.horizon!r}")
+
     @classmethod
     def load(cls, path: str, **overrides) -> "RunConfig":
         """A JSON object of RunConfig fields, with the non-None `overrides`
         on top. A file that is not valid JSON, not an object, names an
-        unknown key, or gives a value of the wrong type raises ParseError
-        naming the file."""
+        unknown key, or gives a value of the wrong type or an unknown
+        horizon raises ParseError naming the file."""
         with open(path) as f:
             try:
                 cfg = json.load(f)
@@ -84,7 +89,10 @@ class RunConfig:
                     f"{path}: config key {key!r} must be {want.__name__}, "
                     f"got {type(value).__name__}")
         cfg.update({k: v for k, v in overrides.items() if v is not None})
-        rc = cls(**cfg)
+        try:
+            rc = cls(**cfg)
+        except InvalidInputError as e:
+            raise fileio.ParseError(f"{path}: {e}") from e
         # relative paths resolve against the config file
         base = os.path.dirname(os.path.abspath(path))
         for name in ("calibration", "trajectory", "scans_dir", "frames_dir",
@@ -108,9 +116,12 @@ def generate_log(scene_path: str, out_dir: str, seed: int = 0,
                  camera_noise: NoiseSpec | None = None,
                  labelset: LabelSet | None = None) -> dict:
     """Generate a complete file-based sensor log plus ground truth from a
-    scene description. Deterministic given the seed. A scene file that is
-    incomplete or invalid raises ParseError naming it, before `out_dir` is
-    made."""
+    scene description. Deterministic given the seed. `n_scans` overrides
+    the scene's scan count. A count below 1 raises InvalidInputError, and a
+    scene file that is incomplete or invalid ParseError naming it, before
+    `out_dir` is made."""
+    if n_scans is not None and n_scans < 1:
+        raise InvalidInputError(f"n_scans must be at least 1, got {n_scans}")
     labelset = labelset or LabelSet.default()
     scene, spec = load_scene(scene_path, labelset)
     # the rest of the spec is read before the log directory is made
@@ -132,7 +143,9 @@ def generate_log(scene_path: str, out_dir: str, seed: int = 0,
         T_base_lidar = np.eye(4)
 
         tspec = spec["trajectory"]
-        n = n_scans or tspec["n_scans"]
+        n = tspec["n_scans"] if n_scans is None else n_scans
+        if n < 1:
+            raise ValueError(f"trajectory n_scans must be at least 1, got {n}")
         dt = tspec["dt"]
         start = np.array(tspec["start"], dtype=np.float64)
         vel = np.array(tspec.get("velocity", [0, 0, 0]), dtype=np.float64)

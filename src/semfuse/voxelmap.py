@@ -4,8 +4,8 @@ Voxels accumulate per-scan log class states; probability-space products of
 many near-one-hot distributions underflow, so all fusion happens in log space
 with factorized log-sum-exp normalization. A map built with `n_horizon`
 also keeps a per-voxel ring buffer of the last n per-scan states for
-finite-horizon queries; a map built without it has no ring and answers only
-infinite-horizon queries.
+finite-horizon snapshots and class counts; every other read answers from
+the infinite-horizon state.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -37,9 +36,12 @@ _KEY_MASK = (1 << _KEY_BITS) - 1
 
 
 def voxel_keys(xyz: np.ndarray, voxel_size: float) -> np.ndarray:
-    """Integer voxel index per point, floor division (not truncation) so
-    negative coordinates bin consistently."""
-    scaled = np.asarray(xyz, dtype=np.float64) / voxel_size
+    """Integer voxel index per (N, 3) point, floor division (not truncation)
+    so negative coordinates bin consistently."""
+    xyz = np.asarray(xyz, dtype=np.float64)
+    if xyz.ndim != 2 or xyz.shape[1] != 3:
+        raise InvalidInputError(f"points must have shape (N, 3), got {xyz.shape}")
+    scaled = xyz / voxel_size
     return _int_keys(np.floor(scaled, out=scaled), integral=True)
 
 
@@ -61,7 +63,10 @@ def _int_keys(index: np.ndarray, integral: bool = False) -> np.ndarray:
 
 
 def pack_keys(keys: np.ndarray) -> np.ndarray:
-    flat = np.asarray(keys).reshape(-1, 3)
+    keys = np.asarray(keys)
+    if keys.shape[-1:] != (3,):
+        raise InvalidInputError(f"voxel keys must have 3 columns, got shape {keys.shape}")
+    flat = keys.reshape(-1, 3)
     if flat.dtype.kind == "f":
         flat = _int_keys(flat)
     flat = flat.astype(np.int64, copy=False)
@@ -84,34 +89,29 @@ def unpack_keys(packed: np.ndarray) -> np.ndarray:
     return out - _KEY_OFFSET
 
 
-@dataclass
-class VoxelQuery:
-    probs: np.ndarray
-    mean_pos: np.ndarray
-    n_points: int
-
-
 class VoxelMap:
     """Sparse hash from integer voxel index to fused semantic state.
 
     Storage is columnar (one row per voxel) so scan integration and queries
     stay vectorized; the key index is a sorted packed-int64 array queried by
     binary search. The infinite-horizon state accumulates every scan at
-    integration time, so an infinite-horizon query equals Bayesian fusion of
-    all scans that ever touched the voxel. Only a map built with `n_horizon`
-    answers finite-horizon queries: its ring holds the last `n_horizon`
-    per-scan states, and older scans leave it. The default map keeps no ring
-    (it would cost 8 * n_horizon * num_classes bytes per voxel and a write
-    per scan), and a finite-horizon query on it raises InvalidInputError.
-    The accumulated log state is kept unnormalized internally and queries
-    normalize it via log-sum-exp. Reads of an unchanged map share one
-    normalization: the first read of a horizon keeps that horizon's
-    normalized log state in row order (8 * num_classes bytes per voxel), and
-    the first read of classes keeps each row's class (8 bytes per voxel),
-    until the next `integrate_scan` that moves `last_scan_id`. Every read,
-    of one row or of all, gathers from them; normalization works row by row,
-    so a gathered row has the bits of that row normalized alone. Every read
-    returns a fresh array. A voxel keeps its row for the life of the map.
+    integration time, so it equals Bayesian fusion of all scans that ever
+    touched the voxel, and every read answers from it except two: `save`
+    and `per_class_voxel_counts` also take `horizon="finite"`. Only a map
+    built with `n_horizon` has that state: its ring holds the last
+    `n_horizon` per-scan states, and older scans leave it. The default map
+    keeps no ring (it would cost 8 * n_horizon * num_classes bytes per voxel
+    and a write per scan), and a finite-horizon read of it raises
+    InvalidInputError. The accumulated log state is kept unnormalized
+    internally and reads normalize it via log-sum-exp. Reads of an unchanged
+    map share one normalization: the first read of a horizon keeps that
+    horizon's normalized log state in row order (8 * num_classes bytes per
+    voxel), and the first read of classes keeps each row's class (8 bytes
+    per voxel), until the next `integrate_scan` that moves `last_scan_id`.
+    Every read, of one row or of all, gathers from them; normalization works
+    row by row, so a gathered row has the bits of that row normalized alone.
+    Every read returns a fresh array. A voxel keeps its row for the life of
+    the map.
     """
 
     # the per-voxel arrays; row i of each describes one voxel. A map with a
@@ -159,9 +159,6 @@ class VoxelMap:
 
     def __len__(self) -> int:
         return self._size
-
-    def __contains__(self, key) -> bool:
-        return self.rows_for_keys(np.atleast_2d(np.asarray(key)))[0] >= 0
 
     @property
     def keys_array(self) -> np.ndarray:
@@ -228,8 +225,8 @@ class VoxelMap:
         All of a scan's points falling in one voxel are first merged into a
         single per-scan log state (sum of clamped logs, renormalized), which
         is added to the voxel's infinite-horizon state and, with a finite
-        horizon, pushed onto its ring buffer. A rejected scan leaves the map
-        as it was.
+        horizon, pushed onto its ring buffer. A rejected scan (points not of
+        shape (N, 3) included) leaves the map as it was.
         """
         if self.last_scan_id is not None and scan_id <= self.last_scan_id:
             raise InvalidInputError(
@@ -310,7 +307,7 @@ class VoxelMap:
                 "pass n_horizon to VoxelMap to keep the last scans, or read a "
                 "loaded map as infinite: a snapshot holds one state")
 
-    def _view(self, horizon: str) -> np.ndarray:
+    def _view(self, horizon: str = "infinite") -> np.ndarray:
         """Normalized log state of every row, in row order, kept until the
         map changes. The map's own array: readers copy out of it."""
         self._check_horizon(horizon)
@@ -321,7 +318,7 @@ class VoxelMap:
             view = self._views[horizon] = lb.log_normalize(L, axis=-1)
         return view
 
-    def _row_classes(self, horizon: str) -> np.ndarray:
+    def _row_classes(self, horizon: str = "infinite") -> np.ndarray:
         """Class of every row, in row order, kept like `_view`."""
         cls = self._classes.get(horizon)
         if cls is None:
@@ -329,22 +326,10 @@ class VoxelMap:
             cls = self._classes[horizon] = np.argmax(p, axis=-1)
         return cls
 
-    def distributions(self, rows: np.ndarray, horizon: str = "infinite") -> np.ndarray:
+    def distributions(self, rows: np.ndarray) -> np.ndarray:
         """Class distribution (len(rows), C) of each row in `rows`, gathered
         from the whole-map view."""
-        return lb.exp_normalized(np.take(self._view(horizon), rows, axis=0))
-
-    def query_voxel(self, key, horizon: str = "infinite") -> VoxelQuery | None:
-        self._check_horizon(horizon)
-        row = self.rows_for_keys(np.atleast_2d(np.asarray(key)))[0]
-        if row < 0:
-            return None
-        rows = np.array([row])
-        return VoxelQuery(
-            probs=self.distributions(rows, horizon)[0],
-            mean_pos=self._pos_sum[row] / self._n_points[row],
-            n_points=int(self._n_points[row]),
-        )
+        return lb.exp_normalized(np.take(self._view(), rows, axis=0))
 
     def rows_for_points(self, xyz: np.ndarray,
                         among: np.ndarray | None = None) -> np.ndarray:
@@ -356,17 +341,16 @@ class VoxelMap:
         keys instead of the whole map's."""
         return self._lookup_packed(pack_keys(voxel_keys(xyz, self.voxel_size)), among)
 
-    def voxel_classes(self, rows: np.ndarray | None = None,
-                      horizon: str = "infinite") -> np.ndarray:
+    def voxel_classes(self, rows: np.ndarray | None = None) -> np.ndarray:
         """Class of each row in `rows` (default: every row, in row order):
         the argmax of the voxel's distribution, not of its log state, since
         near-ties can resolve differently after exp. Every row's class is
         computed once per map state, by the first call."""
         if rows is None:
-            return self._row_classes(horizon).copy()
-        return np.take(self._row_classes(horizon), rows)
+            return self._row_classes().copy()
+        return np.take(self._row_classes(), rows)
 
-    def lookup_points(self, xyz: np.ndarray, horizon: str = "infinite"):
+    def lookup_points(self, xyz: np.ndarray):
         """Per-point voxel distribution; returns (probs (N, C), found (N,)).
 
         Unobserved voxels yield found=False and a uniform placeholder row.
@@ -376,13 +360,13 @@ class VoxelMap:
         rows = self.rows_for_points(xyz)
         found = rows >= 0
         probs = np.full((len(rows), self.num_classes), 1.0 / self.num_classes)
-        probs[found] = self.distributions(rows[found], horizon)
+        probs[found] = self.distributions(rows[found])
         return probs, found
 
-    def export_cloud(self, horizon: str = "infinite"):
+    def export_cloud(self):
         """One point per voxel at its mean position, deterministic key order."""
         _, rows = self.sorted_index()
-        probs = self.distributions(rows, horizon)
+        probs = self.distributions(rows)
         mean = self._pos_sum[rows] / self._n_points[rows][:, None]
         return SemanticCloud(mean, probs, frame_id="map")
 

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -75,3 +76,31 @@ def parent_lookup(vm, xyz, horizon="infinite") -> tuple[np.ndarray, np.ndarray]:
     hit_rows, inv = np.unique(rows[found], return_inverse=True)
     probs[found] = parent_distributions(vm, hit_rows, horizon)[inv]
     return probs, found
+
+
+def snapshot_records(path) -> bytes:
+    """The record bytes of a snapshot file, after its header."""
+    data = path.read_bytes()
+    (hlen,) = struct.unpack("<I", data[4:8])
+    return data[8 + hlen:]
+
+
+def parent_records(vm, horizon="infinite") -> bytes:
+    """The records `save` wrote when it normalized the sorted rows alone."""
+    _, rows = vm.sorted_index()
+    rec = np.zeros(len(rows), dtype=vm._record_dtype(vm.num_classes))
+    rec["key"] = vm._row_packed[rows]
+    rec["mean"] = (vm._pos_sum[rows] / vm._n_points[rows][:, None]).astype(np.float32)
+    rec["n_points"] = vm._n_points[rows].astype(np.uint32)
+    rec["logp"] = parent_log_state(vm, rows, horizon).astype(np.float32)
+    return rec.tobytes()
+
+
+def finite_distributions(vm, keys, path) -> np.ndarray:
+    """Finite-horizon distributions of the voxels of `keys`. The map's one
+    finite read of them is its finite snapshot: its records equal the
+    per-row computation's bit for bit, so that computation's float64 rows
+    are the state `save` wrote before the float32 cast."""
+    vm.save(path, horizon="finite")
+    assert snapshot_records(path) == parent_records(vm, "finite")
+    return parent_distributions(vm, vm.rows_for_keys(np.asarray(keys)), "finite")

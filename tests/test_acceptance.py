@@ -30,7 +30,7 @@ from semfuse.synth import (NoiseSpec, forward_camera_extrinsic, load_scene,
                            simulate_detections, simulate_scan,
                            simulate_segmentation)
 from semfuse.voxelmap import VoxelMap
-from tests.conftest import scene_path
+from tests.conftest import finite_distributions, scene_path
 
 IDENTITY_Q = np.array([1.0, 0, 0, 0])
 
@@ -68,7 +68,7 @@ def test_log_space_fusion_matches_extended_precision_oracle():
                                       np.zeros(n_seq, np.int64),
                                       np.zeros(n_seq, np.int64)], axis=1))
     assert (rows >= 0).all()
-    fused = vm.distributions(rows, horizon="infinite")
+    fused = vm.distributions(rows)
     err = np.abs(fused - oracle.astype(np.float64)).max()
     assert err < 1e-6
     print(f"PASS oracle equivalence: 1000 sequences, max error {err:.2e}")
@@ -78,7 +78,7 @@ def test_log_space_fusion_matches_extended_precision_oracle():
 # 2. Log-space state stays normalized where naive products underflow
 
 
-def test_stability_under_alternating_near_one_hot_updates():
+def test_stability_under_alternating_near_one_hot_updates(tmp_path):
     C = 15
     vm = VoxelMap(num_classes=C, n_horizon=2)
     a = np.full(C, 0.001 / (C - 1))
@@ -93,12 +93,12 @@ def test_stability_under_alternating_near_one_hot_updates():
         naive *= p.astype(np.float32)  # deliberately no renormalization
     # the 32-bit probability-space product has lost normalization entirely
     assert float(naive.sum()) == 0.0
-    q = vm.query_voxel((0, 0, 0), horizon="infinite")
-    assert np.all(np.isfinite(q.probs))
-    assert abs(q.probs.sum() - 1.0) < 1e-6
-    fin = vm.query_voxel((0, 0, 0), horizon="finite")
-    assert np.all(np.isfinite(fin.probs))
-    assert abs(fin.probs.sum() - 1.0) < 1e-6
+    q = vm.distributions(vm.rows_for_keys(np.zeros((1, 3))))[0]
+    assert np.all(np.isfinite(q))
+    assert abs(q.sum() - 1.0) < 1e-6
+    fin = finite_distributions(vm, np.zeros((1, 3)), tmp_path / "map.svx")[0]
+    assert np.all(np.isfinite(fin))
+    assert abs(fin.sum() - 1.0) < 1e-6
     print("PASS stability: 10^4 near-one-hot updates stay normalized; "
           "naive float32 product collapses to 0")
 
@@ -406,17 +406,14 @@ def test_confusion_arithmetic_and_merge_exactness():
     r = rng.integers(0, 5, 4000)
     single = ConfusionAccumulator(5)
     single.add(p, r)
-    parts = []
+    chunked = ConfusionAccumulator(5)
     for chunk in range(4):
-        shard = ConfusionAccumulator(5)
-        shard.add(p[chunk::4], r[chunk::4])
-        parts.append(shard)
-    merged = parts[0].merge(parts[1]).merge(parts[2]).merge(parts[3])
-    np.testing.assert_array_equal(merged.tp, single.tp)
-    np.testing.assert_array_equal(merged.fp, single.fp)
-    np.testing.assert_array_equal(merged.fn, single.fn)
-    np.testing.assert_array_equal(merged.iou(), single.iou())
-    print("PASS evaluation: hand-counted IoU exact, sharded merge identical")
+        chunked.add(p[chunk::4], r[chunk::4])
+    np.testing.assert_array_equal(chunked.tp, single.tp)
+    np.testing.assert_array_equal(chunked.fp, single.fp)
+    np.testing.assert_array_equal(chunked.fn, single.fn)
+    np.testing.assert_array_equal(chunked.iou(), single.iou())
+    print("PASS evaluation: hand-counted IoU exact, chunked accumulation identical")
 
 
 # ---------------------------------------------------------------------------

@@ -101,12 +101,14 @@ def scene_edit(edit):
                  "primitive 1: primitive sizes must be non-negative", id="negative-size"),
     pytest.param(scene_edit(lambda s: s["primitives"][1].update({"position": [8, 0]})),
                  "primitive 1: primitive position must have 3 entries", id="short-position"),
+    pytest.param(scene_edit(lambda s: s["trajectory"].update({"n_scans": 0})),
+                 "trajectory n_scans must be at least 1, got 0", id="no-scans"),
 ])
 def test_synth_bad_scene_exits_naming_the_file(runner, tmp_path, text, what):
     """A scene file that is not a JSON object, lacks a key, names an unknown
-    noise setting, or describes a primitive of an unknown class or shape,
-    of negative size or with a short position fails with one error line
-    naming the file, before the log directory is made."""
+    noise setting, describes a primitive of an unknown class or shape, of
+    negative size or with a short position, or asks for no scans fails with
+    one error line naming the file, before the log directory is made."""
     bad = tmp_path / "scene.json"
     bad.write_text(text)
     out = tmp_path / "log"
@@ -115,6 +117,19 @@ def test_synth_bad_scene_exits_naming_the_file(runner, tmp_path, text, what):
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert res.output.startswith(f"error: {bad}: ") and what in res.output
     assert len(res.output.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_scans", ["0", "-2"])
+def test_synth_scan_count_below_one_exits_naming_it(runner, tmp_path, n_scans):
+    """--scans below 1 is refused by name before the log directory is made;
+    it is neither read as the scene's own count nor written as an empty
+    log."""
+    out = tmp_path / "log"
+    res = runner.invoke(main, ["synth", "--scene", scene_path("person_wall"),
+                               "--out", str(out), "--scans", n_scans])
+    assert res.exit_code == 1, res.output
+    assert res.output == f"error: n_scans must be at least 1, got {n_scans}\n"
     assert not out.exists()
 
 
@@ -192,12 +207,15 @@ def absolute_config(log_dir, out):
                  id="bool-for-int"),
     pytest.param('{"window": 2,', "Expecting", id="not-json"),
     pytest.param('[["window", 2]]', "config is not a JSON object", id="not-an-object"),
+    pytest.param({"horizon": "Finite"},
+                 "horizon must be 'infinite' or 'finite', got 'Finite'", id="unknown-horizon"),
 ])
 def test_config_file_faults_exit_naming_the_file(log_dir, runner, tmp_path, text, what):
-    """A config that misspells a key, gives a value of the wrong type, is
-    not JSON, or is not a JSON object fails every command with one error
-    line naming the file, before any work; a misspelt key is not dropped
-    for its default."""
+    """A config that misspells a key, gives a value of the wrong type or an
+    unknown horizon, is not JSON, or is not a JSON object fails every
+    command with one error line naming the file, before any work and before
+    any output directory is made; a misspelt key is not dropped for its
+    default."""
     bad = tmp_path / "config.json"
     if isinstance(text, dict):
         text = json.dumps({**absolute_config(log_dir, tmp_path / "out"), **text})

@@ -147,11 +147,14 @@ def test_render_virtual_scan_single_1d_point():
 
 @pytest.mark.parametrize("horizon", ["infinite", "finite"])
 def test_export_cloud_of_empty_map(horizon):
-    vm = VoxelMap(num_classes=C, n_horizon=3)
-    cloud = vm.export_cloud(horizon)
+    """An empty map exports an empty cloud, with or without a ring, and
+    counts no voxel of either horizon it has."""
+    vm = VoxelMap(num_classes=C, n_horizon=3 if horizon == "finite" else None)
+    cloud = vm.export_cloud()
     assert cloud.xyz.shape == (0, 3) and cloud.xyz.dtype == np.float64
     assert cloud.probs.shape == (0, C) and cloud.probs.dtype == np.float64
     assert cloud.frame_id == "map"
+    np.testing.assert_array_equal(vm.per_class_voxel_counts(horizon), np.zeros(C))
 
 
 def test_empty_map_save_load_round_trip(tmp_path):
@@ -169,7 +172,7 @@ def test_empty_map_save_load_round_trip(tmp_path):
     assert cloud.xyz.shape == (0, 3) and cloud.probs.shape == (0, C)
     # a snapshot holds one state, so the loaded map answers no finite read
     with pytest.raises(InvalidInputError, match="without n_horizon"):
-        loaded.export_cloud("finite")
+        loaded.per_class_voxel_counts("finite")
     loaded.save(tmp_path / "again.svx")
     assert (tmp_path / "again.svx").read_bytes() == header_only
 

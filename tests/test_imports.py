@@ -1,4 +1,5 @@
-"""Every top-level import in the package and its tests is used.
+"""Every top-level import in the package and its tests is used, and every
+function, class and method the package defines is reached.
 
 No linter runs in CI, so this reads each module's syntax tree: a name bound
 by a top-level import must be read somewhere in the module. Package
@@ -10,9 +11,15 @@ from pathlib import Path
 
 import pytest
 
+import semfuse
+
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for d in (ROOT / "src" / "semfuse", ROOT / "tests")
+PACKAGE = ROOT / "src" / "semfuse"
+MODULES = sorted(p for d in (PACKAGE, ROOT / "tests")
                  for p in d.glob("*.py") if p.name != "__init__.py")
+# the single-scan baseline that test_acceptance compares the map's
+# pseudo-labels against; no pipeline stage renders it
+BASELINE = {"single_overlay_pseudolabels", "PseudoLabelImage.labeled_fraction"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +45,61 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def references(tree) -> list[tuple[str, int]]:
+    """(name, line) of every name and attribute the tree reads."""
+    return [(n.id, n.lineno) if isinstance(n, ast.Name) else (n.attr, n.lineno)
+            for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def is_click_command(node) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def unreached(sources: dict[str, str], outside: set[str]) -> list[str]:
+    """Module-level functions and classes, and methods, of `sources` (file
+    name -> text) that nothing reads by name outside their own definition,
+    and whose name or qualified name is not in `outside`. Dunders and click
+    commands are exempt."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = [(name, ref, line) for name, tree in trees.items()
+            for ref, line in references(tree)]
+    out = []
+    for file, tree in trees.items():
+        for top in tree.body:
+            members = [(top, top.name)] if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else []
+            if isinstance(top, ast.ClassDef):
+                members += [(m, f"{top.name}.{m.name}") for m in top.body
+                            if isinstance(m, ast.FunctionDef)]
+            for node, qualified in members:
+                name = node.name
+                if (name.startswith("__") and name.endswith("__") or is_click_command(node)
+                        or {name, qualified} & outside):
+                    continue
+                if not any(ref == name and not (f == file and node.lineno <= line <= node.end_lineno)
+                           for f, ref, line in read):
+                    out.append(f"{file}:{node.lineno} {qualified}")
+    return out
+
+
+def test_checker_flags_an_unreached_definition():
+    sources = {"a.py": ("def used():\n    pass\n\n\n"
+                        "def dead():\n    return dead()\n\n\n"
+                        "class K:\n    def m(self):\n        pass\n\n"
+                        "    def spare(self):\n        pass\n\n"
+                        "    def __len__(self):\n        return 0\n\n\n"
+                        "@main.command()\ndef cmd():\n    pass\n"),
+               "b.py": "used()\nK().m()\n"}
+    assert unreached(sources, set()) == ["a.py:5 dead", "a.py:13 K.spare"]
+    assert unreached(sources, {"dead", "K.spare"}) == []
+
+
+def test_every_definition_is_reached():
+    """Each definition in the package is read by the package itself, by the
+    benchmark (`perfbench/*.py`) or is exported in `semfuse.__all__`."""
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    bench = {ref for p in (ROOT / "perfbench").glob("*.py")
+             for ref, _ in references(ast.parse(p.read_text()))}
+    assert unreached(sources, bench | set(semfuse.__all__) | BASELINE) == []

@@ -162,20 +162,19 @@ def test_labels_agree_with_map_argmax(labelset):
         assert set(np.unique(img.classes[img.labeled])) <= {building, person}
 
 
-def pseudolabels_by_lookup(vmap, scans, labelset, model, window, threshold,
-                           horizon):
+def pseudolabels_by_lookup(vmap, scans, labelset, model, window, threshold):
     """Reference: `generate_pseudolabels` with every scan point gathering its
     voxel's (N, C) distribution in the way of `lookup_points`, and each cell
     taking the argmax and max of its winning point's row. Every distribution
     comes from the per-row computation, not from the map's views."""
     dynamic = np.zeros(labelset.num_classes, dtype=bool)
     dynamic[list(labelset.dynamic_indices)] = True
-    map_xyz, map_probs = parent_export(vmap, horizon)
+    map_xyz, map_probs = parent_export(vmap)
     static = ~dynamic[np.argmax(map_probs, axis=-1)]
     dyn = {}
     for scan in scans:
         w = scan.world_xyz()
-        probs, found = parent_lookup(vmap, w, horizon)
+        probs, found = parent_lookup(vmap, w)
         sel = found & dynamic[np.argmax(probs, axis=-1)]
         dyn[scan.scan_id] = (w[sel], probs[sel])
     out = []
@@ -201,8 +200,8 @@ def pseudolabels_by_lookup(vmap, scans, labelset, model, window, threshold,
 def test_pseudolabels_match_lookup_oracle(labelset):
     """Equal classes, confidence, xyz and range as the (N, C) lookup form,
     on a map with dynamic classes, over window sizes, thresholds 0/0.8/1
-    (one-hot voxels seen in several scans reach confidence 1) and both
-    horizons; every scan also holds points that miss the map. An empty map
+    (one-hot voxels seen in several scans reach confidence 1); every scan
+    also holds points that miss the map. An empty map
     gives the oracle's all-unlabeled images, and on a map of static classes
     only no scan point is a dynamic candidate."""
     rng = np.random.default_rng(3)
@@ -211,7 +210,7 @@ def test_pseudolabels_match_lookup_oracle(labelset):
     base = rng.uniform([-8, -8, -2], [8, 8, 2], size=(400, 3))
     base_p = rng.dirichlet(np.full(C, 0.2), size=400)
     base_p[::2] = np.eye(C)[rng.integers(0, C, 200)]
-    vm = VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=2)
+    vm = VoxelMap(voxel_size=0.5, num_classes=C)
     scans = []
     for k in range(6):
         mover = rng.uniform([-6, -6, -1], [6, 6, 1], size=(40, 3))
@@ -224,8 +223,8 @@ def test_pseudolabels_match_lookup_oracle(labelset):
         miss = rng.uniform([20, 20, -1], [25, 25, 1], size=(15, 3))
         seen = np.concatenate([world, miss])[rng.permutation(455)]
         scans.append(ScanRecord(apply(invert(pose.matrix()), seen), pose, k))
-    empty = VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=2)
-    static_only = VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=2)
+    empty = VoxelMap(voxel_size=0.5, num_classes=C)
+    static_only = VoxelMap(voxel_size=0.5, num_classes=C)
     static_classes = np.setdiff1d(np.arange(C), labelset.dynamic_indices)
     for k, scan in enumerate(scans[:2]):
         world = apply(scan.pose.matrix(), scan.xyz)
@@ -235,28 +234,26 @@ def test_pseudolabels_match_lookup_oracle(labelset):
                                             labelset.dynamic_indices).any()
     labeled = {}
     for vmap in (vm, empty, static_only):
-        for horizon in ("infinite", "finite"):
-            for window in (0, 1, 2, 5):
-                for threshold in (0.0, 0.8, 1.0):
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore" if vmap is empty else "error")
-                        got = generate_pseudolabels(
-                            vmap, scans, labelset, model,
-                            policy=ScanWindowPolicy(window),
-                            threshold=threshold, horizon=horizon)
-                    expect = pseudolabels_by_lookup(vmap, scans, labelset, model,
-                                                    window, threshold, horizon)
-                    for img, (classes, conf, xyz, rng_img) in zip(got, expect):
-                        np.testing.assert_array_equal(img.classes, classes)
-                        np.testing.assert_array_equal(img.confidence, conf)
-                        np.testing.assert_array_equal(img.xyz, xyz)
-                        np.testing.assert_array_equal(img.range, rng_img)
-                    if vmap is vm:
-                        labeled[horizon, window, threshold] = [
-                            np.isin(img.classes, labelset.dynamic_indices).sum()
-                            for img in got]
-    assert all(n > 0 for n in labeled["infinite", 2, 1.0])
-    assert sum(labeled["finite", 0, 0.0]) < sum(labeled["finite", 5, 0.0])
+        for window in (0, 1, 2, 5):
+            for threshold in (0.0, 0.8, 1.0):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore" if vmap is empty else "error")
+                    got = generate_pseudolabels(
+                        vmap, scans, labelset, model,
+                        policy=ScanWindowPolicy(window), threshold=threshold)
+                expect = pseudolabels_by_lookup(vmap, scans, labelset, model,
+                                                window, threshold)
+                for img, (classes, conf, xyz, rng_img) in zip(got, expect):
+                    np.testing.assert_array_equal(img.classes, classes)
+                    np.testing.assert_array_equal(img.confidence, conf)
+                    np.testing.assert_array_equal(img.xyz, xyz)
+                    np.testing.assert_array_equal(img.range, rng_img)
+                if vmap is vm:
+                    labeled[window, threshold] = [
+                        np.isin(img.classes, labelset.dynamic_indices).sum()
+                        for img in got]
+    assert all(n > 0 for n in labeled[2, 1.0])
+    assert sum(labeled[0, 0.0]) < sum(labeled[5, 0.0])
 
 
 def test_pseudolabels_follow_map_changes(labelset):
@@ -265,7 +262,7 @@ def test_pseudolabels_follow_map_changes(labelset):
     rng = np.random.default_rng(8)
     C = labelset.num_classes
     model = SphericalModel(width=64, height=16)
-    vm = VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=2)
+    vm = VoxelMap(voxel_size=0.5, num_classes=C)
     scans = []
     for k in range(4):
         world = rng.uniform([-6 + 2 * k, -6, -1], [6 + 2 * k, 6, 1], size=(400, 3))
@@ -275,15 +272,13 @@ def test_pseudolabels_follow_map_changes(labelset):
         vm.integrate_scan(SemanticCloud(world, probs), k)
         pose = pose_at(t=float(k), xyz=(2.0 * k, 0.0, 0.1))
         scans.append(ScanRecord(apply(invert(pose.matrix()), world), pose, k))
-        for horizon in ("infinite", "finite"):
-            expect = pseudolabels_by_lookup(vm, scans, labelset, model, 1, 0.5, horizon)
-            for _ in range(2):
-                got = generate_pseudolabels(vm, scans, labelset, model,
-                                            policy=ScanWindowPolicy(1),
-                                            threshold=0.5, horizon=horizon)
-                for img, (classes, conf, _, _) in zip(got, expect):
-                    np.testing.assert_array_equal(img.classes, classes)
-                    np.testing.assert_array_equal(img.confidence, conf)
+        expect = pseudolabels_by_lookup(vm, scans, labelset, model, 1, 0.5)
+        for _ in range(2):
+            got = generate_pseudolabels(vm, scans, labelset, model,
+                                        policy=ScanWindowPolicy(1), threshold=0.5)
+            for img, (classes, conf, _, _) in zip(got, expect):
+                np.testing.assert_array_equal(img.classes, classes)
+                np.testing.assert_array_equal(img.confidence, conf)
         assert any(img.labeled.any() for img in got)
 
 

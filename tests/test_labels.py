@@ -9,9 +9,12 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from semfuse import labels as lb
 from semfuse.labels import (DegenerateFusionWarning, InvalidInputError,
-                            LabelSet, argmax_class, bayes_fuse, log_from_prob,
-                            log_normalize, logsumexp, prob_from_log, softmax,
-                            uniform, validate_distribution)
+                            LabelSet, argmax_class, bayes_fuse, log_normalize,
+                            logsumexp, softmax)
+
+
+def uniform(C):
+    return np.full(C, 1.0 / C)
 
 
 def distributions(C=15):
@@ -168,26 +171,16 @@ def test_logsumexp_matches_scipy(L):
     np.testing.assert_allclose(logsumexp(L), scipy_logsumexp(L), atol=1e-9)
 
 
-@given(distributions(15))
-def test_log_prob_round_trip(p):
-    np.testing.assert_allclose(prob_from_log(log_from_prob(p)), p, atol=1e-9)
-
-
 @pytest.mark.parametrize("axis", [-1, 0])
 def test_prob_from_log_bits_and_exp_normalized_in_place(rng, axis):
+    """Probabilities from log states, `exp_normalized` of `log_normalize`,
+    have the bits of exp then division by the sum, computed in place."""
     L = rng.normal(0, 20, size=(40, 7))
     Ln = log_normalize(L, axis=axis)
     p = np.exp(Ln)
     expected = p / p.sum(axis=axis, keepdims=True)
-    assert np.array_equal(prob_from_log(L, axis=axis), expected)
     out = lb.exp_normalized(Ln, axis=axis)
     assert out is Ln and np.array_equal(out, expected)
-
-
-def test_log_from_prob_clamps_zero():
-    out = log_from_prob(np.array([1.0, 0.0]))
-    assert np.all(np.isfinite(out))
-    assert out[1] == np.log(lb.EPS_FLOOR)
 
 
 # --- argmax ----------------------------------------------------------------
@@ -203,23 +196,6 @@ def test_argmax_probability_vector():
 
 def test_argmax_log_state():
     assert argmax_class(np.array([-0.1, -3.0, -3.0])) == 0
-
-
-# --- validate_distribution --------------------------------------------------
-
-
-def test_validate_rejects_bad_sum():
-    with pytest.raises(InvalidInputError):
-        validate_distribution(np.array([0.5, 0.4]))
-
-
-def test_validate_rejects_negative():
-    with pytest.raises(InvalidInputError):
-        validate_distribution(np.array([-0.2, 1.2]))
-
-
-def test_validate_accepts_within_tolerance():
-    validate_distribution(np.array([0.5, 0.5 + 1e-8]))
 
 
 # --- LabelSet ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -13,16 +14,21 @@ from hypothesis import strategies as st
 from semfuse import labels as labels_module
 from semfuse import runner
 from semfuse.fusion import SemanticCloud
-from semfuse.labels import (InvalidInputError, bayes_fuse, log_from_prob,
-                            log_normalize, uniform)
+from semfuse.labels import EPS_FLOOR, InvalidInputError, bayes_fuse, log_normalize
 from semfuse.runner import RunConfig
 from semfuse.voxelmap import (VoxelMap, pack_keys, unpack_keys, voxel_keys)
-from tests.conftest import (parent_classes, parent_distributions, parent_export,
-                            parent_log_state, parent_lookup, scene_path)
+from tests.conftest import (finite_distributions, parent_classes, parent_distributions,
+                            parent_export, parent_lookup, parent_records, scene_path,
+                            snapshot_records)
 
 
 def cloud(xyz, probs):
     return SemanticCloud(np.asarray(xyz, float), np.asarray(probs, float))
+
+
+def probs_at(vm, key):
+    """Distribution of the voxel at integer key `key`."""
+    return vm.distributions(vm.rows_for_keys(np.array([key])))[0]
 
 
 def one_hot(i, C, p=0.9):
@@ -109,20 +115,13 @@ def test_default_map_keeps_no_ring():
                                       np.zeros((1000, 2))],
                                 np.tile(one_hot(k, 3), (1000, 1))), k)
     assert len(vm) == 3000 and not hasattr(vm, "_ring")
-    assert vm.query_voxel((2500, 0, 0)).probs.argmax() == 2
+    assert probs_at(vm, (2500, 0, 0)).argmax() == 2
 
 
 def assert_finite_reads_raise(vm, path):
-    """Every finite-horizon read of `vm` raises by name, and a finite save
+    """Both finite-horizon reads of `vm` raise by name, and a finite save
     writes no file."""
-    rows = np.zeros(min(len(vm), 1), dtype=np.int64)
-    calls = [lambda: vm.query_voxel((0, 0, 0), "finite"),
-             lambda: vm.lookup_points(np.array([[0.5, 0.5, 0.5]]), "finite"),
-             lambda: vm.distributions(rows, "finite"),
-             lambda: vm.voxel_classes(rows, "finite"),
-             lambda: vm.voxel_classes(horizon="finite"),
-             lambda: vm.export_cloud("finite"),
-             lambda: vm.save(path, horizon="finite"),
+    calls = [lambda: vm.save(path, horizon="finite"),
              lambda: vm.per_class_voxel_counts("finite")]
     for call in calls:
         with pytest.raises(InvalidInputError, match="without n_horizon") as info:
@@ -207,8 +206,36 @@ def test_contains_and_len():
     vm.integrate_scan(cloud([[0.1, 0.1, 0.1], [1.1, 0, 0]],
                             [one_hot(0, 3), one_hot(1, 3)]), 0)
     assert len(vm) == 2
-    assert (0, 0, 0) in vm
-    assert (9, 9, 9) not in vm
+    found, missing = vm.rows_for_keys(np.array([[0, 0, 0], [9, 9, 9]]))
+    assert found >= 0 and missing == -1
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (6, 2), (3, 4), (3,), (2, 3, 3)])
+def test_points_of_another_width_are_rejected_before_scan_id_moves(shape):
+    """Points and keys are (N, 3): another shape is rejected by name at the
+    key boundary, by every read and by `integrate_scan`, which then accepts
+    the scan under the same id."""
+    vm = VoxelMap(voxel_size=1.0, num_classes=3)
+    vm.integrate_scan(cloud([[0.5, 0.5, 0.5]], [one_hot(0, 3)]), 0)
+    bad = np.full(shape, 0.5)
+    calls = [lambda: voxel_keys(bad, 1.0),
+             lambda: vm.rows_for_points(bad),
+             lambda: vm.rows_for_points(bad, among=np.array([0])),
+             lambda: vm.lookup_points(bad),
+             lambda: vm.integrate_scan(SemanticCloud(bad, np.full((len(bad), 3), 1 / 3)), 1)]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match=r"shape \(N, 3\), got " + re.escape(str(shape))):
+            call()
+    if shape[-1] != 3:
+        for call in (lambda: pack_keys(np.zeros(shape, dtype=np.int64)),
+                     lambda: vm.rows_for_keys(np.zeros(shape, dtype=np.int64))):
+            with pytest.raises(InvalidInputError, match="3 columns"):
+                call()
+    assert vm.last_scan_id == 0 and len(vm) == 1
+    vm.integrate_scan(cloud([[1.5, 0.5, 0.5]], [one_hot(1, 3)]), 1)
+    assert vm.last_scan_id == 1 and len(vm) == 2
+    assert vm.rows_for_points(np.zeros((0, 3))).shape == (0,)
+    assert pack_keys(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
 
 
 # --- per-scan merge and horizons --------------------------------------------
@@ -220,12 +247,12 @@ def test_same_scan_points_merge_by_product():
     vm = VoxelMap(num_classes=C)
     a, b = one_hot(0, C, 0.8), one_hot(1, C, 0.6)
     vm.integrate_scan(cloud([[0.05, 0.05, 0.05], [0.2, 0.2, 0.2]], [a, b]), 0)
-    q = vm.query_voxel((0, 0, 0))
-    np.testing.assert_allclose(q.probs, bayes_fuse(a, b), atol=1e-9)
-    assert q.n_points == 2
+    assert len(vm) == 1
+    np.testing.assert_allclose(probs_at(vm, (0, 0, 0)), bayes_fuse(a, b), atol=1e-9)
+    assert vm._n_points[0] == 2
 
 
-def test_finite_horizon_drops_old_scans():
+def test_finite_horizon_drops_old_scans(tmp_path):
     """With n_horizon=2 the finite state fuses only the last two scans while
     the infinite state fuses all three."""
     C = 4
@@ -233,13 +260,12 @@ def test_finite_horizon_drops_old_scans():
     ps = [one_hot(0, C, 0.7), one_hot(1, C, 0.7), one_hot(2, C, 0.7)]
     for k, p in enumerate(ps):
         vm.integrate_scan(cloud([[0.1, 0.1, 0.1]], [p]), k)
-    fin = vm.query_voxel((0, 0, 0), horizon="finite").probs
-    inf = vm.query_voxel((0, 0, 0), horizon="infinite").probs
+    fin = finite_distributions(vm, [(0, 0, 0)], tmp_path / "map.svx")[0]
     np.testing.assert_allclose(fin, bayes_fuse(ps[1], ps[2]), atol=1e-9)
-    np.testing.assert_allclose(inf, longdouble_fuse(ps), atol=1e-9)
+    np.testing.assert_allclose(probs_at(vm, (0, 0, 0)), longdouble_fuse(ps), atol=1e-9)
 
 
-def test_matches_longdouble_oracle(rng):
+def test_matches_longdouble_oracle(rng, tmp_path):
     C, n_scans = 5, 25
     vm = VoxelMap(num_classes=C, n_horizon=4)
     history = []
@@ -247,9 +273,8 @@ def test_matches_longdouble_oracle(rng):
         p = rng.dirichlet(np.ones(C) * 0.5)
         history.append(p)
         vm.integrate_scan(cloud([[0.1, 0.1, 0.1]], [p]), k)
-    inf = vm.query_voxel((0, 0, 0), horizon="infinite").probs
-    np.testing.assert_allclose(inf, longdouble_fuse(history), atol=1e-9)
-    fin = vm.query_voxel((0, 0, 0), horizon="finite").probs
+    np.testing.assert_allclose(probs_at(vm, (0, 0, 0)), longdouble_fuse(history), atol=1e-9)
+    fin = finite_distributions(vm, [(0, 0, 0)], tmp_path / "map.svx")[0]
     np.testing.assert_allclose(fin, longdouble_fuse(history[-4:]), atol=1e-9)
 
 
@@ -267,7 +292,7 @@ def reference_scan_states(xyz, probs, voxel_size):
     extra = np.ones(len(sp), dtype=bool)
     extra[starts] = False
     sums = []
-    for values in (log_from_prob(probs)[order], xyz[order]):
+    for values in (np.log(np.maximum(probs, EPS_FLOOR))[order], xyz[order]):
         total = values[starts].copy()
         np.add.at(total, group[extra], values[extra])
         sums.append(total)
@@ -276,7 +301,7 @@ def reference_scan_states(xyz, probs, voxel_size):
     return sp[starts], states, pos
 
 
-def test_shared_voxels_sum_in_input_order_exactly(rng):
+def test_shared_voxels_sum_in_input_order_exactly(rng, tmp_path):
     """With many points per voxel in scrambled order, finite and infinite
     distributions and mean positions equal, bit for bit, those built from
     per-scan states that add each voxel's points in input order."""
@@ -308,13 +333,14 @@ def test_shared_voxels_sum_in_input_order_exactly(rng):
         pos_sum.append(pos)
 
     rows = vm.rows_for_keys(unpack_keys(keys))
+    got = {"finite": finite_distributions(vm, unpack_keys(keys), tmp_path / "map.svx"),
+           "infinite": vm.distributions(rows)}
     for horizon, L in (("finite", finite), ("infinite", infinite)):
         expect = np.exp(log_normalize(np.array(L), axis=-1))
         expect /= expect.sum(axis=-1, keepdims=True)
-        np.testing.assert_array_equal(vm.distributions(rows, horizon), expect)
+        np.testing.assert_array_equal(got[horizon], expect)
     out = vm.export_cloud()  # rows in packed-key order, as `keys`
-    n_points = np.array([vm.query_voxel(k).n_points for k in unpack_keys(keys)])
-    np.testing.assert_array_equal(out.xyz, np.array(pos_sum) / n_points[:, None])
+    np.testing.assert_array_equal(out.xyz, np.array(pos_sum) / vm._n_points[rows][:, None])
 
 
 def merge_case(kind, rng, C):
@@ -382,11 +408,11 @@ def test_no_underflow_over_many_scans():
         vm.integrate_scan(cloud([[0.1, 0.1, 0.1]], [p]), k)
         naive *= p  # no renormalization
     assert naive.sum() == 0.0
-    q = vm.query_voxel((0, 0, 0))
-    assert np.all(np.isfinite(q.probs))
-    assert q.probs.sum() == pytest.approx(1.0, abs=1e-9)
+    q = probs_at(vm, (0, 0, 0))
+    assert np.all(np.isfinite(q))
+    assert q.sum() == pytest.approx(1.0, abs=1e-9)
     # classes 0 and 1 saw identical evidence; class 2 never did
-    assert q.probs[2] < q.probs[0]
+    assert q[2] < q[0]
 
 
 # --- queries ----------------------------------------------------------------
@@ -394,17 +420,17 @@ def test_no_underflow_over_many_scans():
 
 def test_query_missing_voxel_is_none():
     vm = VoxelMap(num_classes=3)
-    assert vm.query_voxel((1, 2, 3)) is None
+    assert vm.rows_for_keys(np.array([[1, 2, 3]])).tolist() == [-1]
 
 
 def test_mean_pos_inside_voxel_cube(rng):
     vm = VoxelMap(voxel_size=0.5, num_classes=3)
     pts = rng.uniform(0, 0.5, size=(40, 3))
     vm.integrate_scan(cloud(pts, np.tile(one_hot(0, 3), (40, 1))), 0)
-    q = vm.query_voxel((0, 0, 0))
-    np.testing.assert_allclose(q.mean_pos, pts.mean(axis=0), atol=1e-9)
-    assert np.all(q.mean_pos >= 0) and np.all(q.mean_pos < 0.5)
-    assert q.n_points == 40
+    (mean_pos,) = vm.export_cloud().xyz
+    np.testing.assert_allclose(mean_pos, pts.mean(axis=0), atol=1e-9)
+    assert np.all(mean_pos >= 0) and np.all(mean_pos < 0.5)
+    assert vm._n_points[0] == 40
 
 
 def test_lookup_points_hits_and_misses():
@@ -413,7 +439,7 @@ def test_lookup_points_hits_and_misses():
     probs, found = vm.lookup_points(np.array([[0.2, 0.2, 0.2], [5, 5, 5]]))
     assert found.tolist() == [True, False]
     np.testing.assert_allclose(probs[0], one_hot(2, 4), atol=1e-9)
-    np.testing.assert_allclose(probs[1], uniform(4), atol=1e-12)
+    np.testing.assert_allclose(probs[1], np.full(4, 0.25), atol=1e-12)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -423,9 +449,8 @@ def test_non_finite_query_is_rejected_by_name(value):
     point = np.array([[0.5, 0.5, 0.5], [0.5, value, 0.5]])
     key = (0, value, 0)
     calls = [lambda: vm.lookup_points(point),
-             lambda: vm.rows_for_keys(np.array([key])),
-             lambda: vm.query_voxel(key),
-             lambda: key in vm]
+             lambda: vm.rows_for_points(point),
+             lambda: vm.rows_for_keys(np.array([key]))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in calls:
@@ -441,9 +466,8 @@ def test_non_integral_key_is_rejected_by_name(key):
     vm = VoxelMap(voxel_size=1.0, num_classes=3)
     vm.integrate_scan(cloud([[0.5, 0.5, 0.5]], [one_hot(0, 3)]), 0)
     calls = [lambda: pack_keys(np.array([key])),
-             lambda: vm.rows_for_keys(np.array([(0, 0, 0), key])),
-             lambda: vm.query_voxel(key),
-             lambda: key in vm]
+             lambda: vm.rows_for_keys(np.array([key])),
+             lambda: vm.rows_for_keys(np.array([(0, 0, 0), key]))]
     for call in calls:
         with pytest.raises(InvalidInputError, match="non-integral voxel key"):
             call()
@@ -454,9 +478,8 @@ def test_non_integral_key_is_rejected_by_name(key):
 def test_integral_float_keys_are_accepted():
     vm = VoxelMap(voxel_size=1.0, num_classes=3)
     vm.integrate_scan(cloud([[1.5, -0.5, 0.5]], [one_hot(0, 3)]), 0)
-    assert (1.0, -1.0, 0.0) in vm
-    assert vm.query_voxel((1.0, -1.0, -0.0)).n_points == 1
-    assert vm.rows_for_keys(np.array([[1.0, -1.0, 0.0], [2.0, 0.0, 0.0]])).tolist() == [0, -1]
+    keys = np.array([[1.0, -1.0, 0.0], [1.0, -1.0, -0.0], [2.0, 0.0, 0.0]])
+    assert vm.rows_for_keys(keys).tolist() == [0, 0, -1]
     np.testing.assert_array_equal(pack_keys(np.array([[1.0, -1.0, 0.0]])),
                                   pack_keys(np.array([[1, -1, 0]])))
 
@@ -513,22 +536,27 @@ def test_rows_for_points_rejects_nan_by_name():
 @pytest.mark.parametrize("horizon", ["infinite", "finite"])
 def test_voxel_classes_and_lookup_agree_with_distributions(horizon, rng):
     """Per-row classes are the argmax of each row's distribution;
-    `lookup_points` gathers the same rows per point."""
+    `lookup_points` gathers the same rows per point. On a map with a ring
+    they answer from the infinite state, also after a read of `horizon`
+    came first; the per-class counts of `horizon` follow the same rule."""
     C = 6
     vm = VoxelMap(voxel_size=0.5, num_classes=C, n_horizon=2)
     for k in range(4):
         xyz = rng.uniform(-2, 2, (300, 3))
         vm.integrate_scan(cloud(xyz, rng.dirichlet(np.full(C, 0.4), 300)), k)
-    p = vm.distributions(np.arange(len(vm)), horizon)
-    cls = vm.voxel_classes(horizon=horizon)
+    np.testing.assert_array_equal(vm.per_class_voxel_counts(horizon),
+                                  np.bincount(parent_classes(vm, horizon), minlength=C))
+    p = vm.distributions(np.arange(len(vm)))
+    np.testing.assert_array_equal(p, parent_distributions(vm, np.arange(len(vm))))
+    cls = vm.voxel_classes()
     np.testing.assert_array_equal(cls, np.argmax(p, axis=-1))
     rows = rng.integers(0, len(vm), 50)
-    np.testing.assert_array_equal(vm.voxel_classes(rows, horizon), cls[rows])
-    np.testing.assert_array_equal(vm.per_class_voxel_counts(horizon),
+    np.testing.assert_array_equal(vm.voxel_classes(rows), cls[rows])
+    np.testing.assert_array_equal(vm.per_class_voxel_counts(),
                                   np.bincount(cls, minlength=C))
     pts = rng.uniform(-3, 3, (500, 3))
     rows = vm.rows_for_points(pts)
-    probs, found = vm.lookup_points(pts, horizon)
+    probs, found = vm.lookup_points(pts)
     np.testing.assert_array_equal(found, rows >= 0)
     np.testing.assert_array_equal(probs[found], p[rows[found]])
     np.testing.assert_array_equal(probs[~found], 1.0 / C)
@@ -733,9 +761,8 @@ def test_loaded_map_accepts_new_scans(tmp_path):
     vm.save(path)
     again = VoxelMap.load(path)
     again.integrate_scan(cloud([[0.1, 0.1, 0.1]], [one_hot(0, 3, 0.8)]), 0)
-    q = again.query_voxel((0, 0, 0))
     expect = bayes_fuse(one_hot(0, 3, 0.8), one_hot(0, 3, 0.8))
-    np.testing.assert_allclose(q.probs, expect, atol=1e-5)
+    np.testing.assert_allclose(probs_at(again, (0, 0, 0)), expect, atol=1e-5)
 
 
 def test_load_keeps_the_decoded_columns_without_a_second_copy(tmp_path, rng):
@@ -805,7 +832,7 @@ def test_snapshot_answers_infinite_reads_with_saved_state(saved, H, n_scans, see
         xyz = rng.uniform(0, 3, size=(30, 3))
         vm.integrate_scan(cloud(xyz, rng.dirichlet(np.full(C, 0.3), 30)), k)
     queries = rng.uniform(-1, 4, size=(200, 3))  # some land outside the map
-    expect, expect_found = vm.lookup_points(queries, saved)
+    expect, expect_found = parent_lookup(vm, queries, saved)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "map.svx")
         vm.save(path, horizon=saved)
@@ -815,7 +842,7 @@ def test_snapshot_answers_infinite_reads_with_saved_state(saved, H, n_scans, see
     # the snapshot stores float32 log-probabilities
     np.testing.assert_allclose(probs, expect, atol=1e-5)
     with pytest.raises(InvalidInputError, match="without n_horizon"):
-        again.lookup_points(queries, "finite")
+        again.per_class_voxel_counts("finite")
 
 
 def test_pseudolabel_from_finite_horizon_map(tmp_path):
@@ -853,23 +880,6 @@ def same(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-def snapshot_records(path) -> bytes:
-    data = path.read_bytes()
-    (hlen,) = struct.unpack("<I", data[4:8])
-    return data[8 + hlen:]
-
-
-def parent_records(vm, horizon) -> bytes:
-    """The records `save` wrote when it normalized the sorted rows alone."""
-    _, rows = vm.sorted_index()
-    rec = np.zeros(len(rows), dtype=vm._record_dtype(vm.num_classes))
-    rec["key"] = vm._row_packed[rows]
-    rec["mean"] = (vm._pos_sum[rows] / vm._n_points[rows][:, None]).astype(np.float32)
-    rec["n_points"] = vm._n_points[rows].astype(np.uint32)
-    rec["logp"] = parent_log_state(vm, rows, horizon).astype(np.float32)
-    return rec.tobytes()
-
-
 def read_probes(vm, rng):
     """Rows (with repeats), points (some off the map) and keys to read."""
     n = len(vm)
@@ -880,29 +890,31 @@ def read_probes(vm, rng):
     return rows, pts, keys
 
 
-def subset_reads(vm, horizon, rows, pts, keys) -> dict:
-    probs, found = vm.lookup_points(pts, horizon)
-    queries = [vm.query_voxel(k, horizon) for k in keys]
-    return {"distributions": vm.distributions(rows, horizon),
-            "voxel_classes(rows)": vm.voxel_classes(rows, horizon),
+def subset_reads(vm, rows, pts, keys) -> dict:
+    """Reads of some rows, points and keys; each answers from the infinite
+    state."""
+    probs, found = vm.lookup_points(pts)
+    return {"distributions": vm.distributions(rows),
+            "voxel_classes(rows)": vm.voxel_classes(rows),
             "lookup_points.probs": probs, "lookup_points.found": found,
-            "query_voxel.probs": np.array([q.probs for q in queries]).reshape(-1, vm.num_classes),
-            "query_voxel.mean_pos": np.array([q.mean_pos for q in queries]).reshape(-1, 3)}
+            "rows_for_keys.distributions": vm.distributions(vm.rows_for_keys(keys))}
 
 
 WHOLE_READS = ("save", "export_cloud", "voxel_classes", "per_class_voxel_counts")
 
 
 def whole_reads(vm, horizon, path, first="save") -> dict:
+    """Reads of the whole map: `save` and `per_class_voxel_counts` of
+    `horizon`, the others of the infinite state."""
     def one(name):
         if name == "save":
             vm.save(path, horizon=horizon)
             return {"save": np.frombuffer(snapshot_records(path), dtype=np.uint8)}
         if name == "export_cloud":
-            out = vm.export_cloud(horizon)
+            out = vm.export_cloud()
             return {"export_cloud.xyz": out.xyz, "export_cloud.probs": out.probs}
         if name == "voxel_classes":
-            return {"voxel_classes()": vm.voxel_classes(horizon=horizon)}
+            return {"voxel_classes()": vm.voxel_classes()}
         return {"per_class_voxel_counts": vm.per_class_voxel_counts(horizon)}
     out = one(first)
     for name in WHOLE_READS:
@@ -912,22 +924,21 @@ def whole_reads(vm, horizon, path, first="save") -> dict:
 
 
 def parent_reads(vm, horizon, rows, pts, keys) -> dict:
-    probs, found = parent_lookup(vm, pts, horizon)
+    probs, found = parent_lookup(vm, pts)
     key_rows = vm.rows_for_keys(keys) if len(keys) else np.zeros(0, dtype=np.int64)
-    dist = parent_distributions(vm, rows, horizon)
-    cls = parent_classes(vm, horizon)
-    xyz, export_probs = parent_export(vm, horizon)
+    dist = parent_distributions(vm, rows)
+    cls = parent_classes(vm)
+    xyz, export_probs = parent_export(vm)
     return {"distributions": dist,
             "voxel_classes(rows)": np.argmax(dist, axis=-1),
             "lookup_points.probs": probs, "lookup_points.found": found,
-            "query_voxel.probs": parent_distributions(vm, key_rows, horizon),
-            "query_voxel.mean_pos": (vm._pos_sum[key_rows]
-                                     / vm._n_points[key_rows][:, None]),
+            "rows_for_keys.distributions": parent_distributions(vm, key_rows),
             "save": np.frombuffer(parent_records(vm, horizon), dtype=np.uint8),
             "export_cloud.xyz": xyz if len(vm) else np.zeros((0, 3)),
             "export_cloud.probs": export_probs,
             "voxel_classes()": cls,
-            "per_class_voxel_counts": np.bincount(cls, minlength=vm.num_classes)}
+            "per_class_voxel_counts": np.bincount(parent_classes(vm, horizon),
+                                                  minlength=vm.num_classes)}
 
 
 def assert_reads_match_parent(vm, horizon, rng, path, first="save"):
@@ -936,10 +947,10 @@ def assert_reads_match_parent(vm, horizon, rng, path, first="save"):
     equal the per-row computation bit for bit."""
     rows, pts, keys = read_probes(vm, rng)
     expect = parent_reads(vm, horizon, rows, pts, keys)
-    got = {"cold " + k: v for k, v in subset_reads(vm, horizon, rows, pts, keys).items()}
+    got = {"cold " + k: v for k, v in subset_reads(vm, rows, pts, keys).items()}
     got.update(whole_reads(vm, horizon, path, first))
-    got.update({"warm " + k: v for k, v in subset_reads(vm, horizon, rows, pts, keys).items()})
-    assert len(got) == 2 * 6 + 5
+    got.update({"warm " + k: v for k, v in subset_reads(vm, rows, pts, keys).items()})
+    assert len(got) == 2 * 5 + 5
     for name, value in got.items():
         same(value, expect[name.split(" ")[-1]])
     return expect
@@ -1023,7 +1034,7 @@ def test_rejected_scan_keeps_reads_and_views(bad, tmp_path, normalized_shapes):
         vm.integrate_scan(scan, k)
     path = tmp_path / "map.svx"
     rows, pts, keys = read_probes(vm, rng)
-    before = {h: {**whole_reads(vm, h, path), **subset_reads(vm, h, rows, pts, keys)}
+    before = {h: {**whole_reads(vm, h, path), **subset_reads(vm, rows, pts, keys)}
               for h in ("infinite", "finite")}
     xyz, probs = rng.uniform(-3, 3, (50, 3)), rng.dirichlet(np.ones(C), 50)
     scan_id = 3
@@ -1040,7 +1051,7 @@ def test_rejected_scan_keeps_reads_and_views(bad, tmp_path, normalized_shapes):
     assert vm.last_scan_id == 2
     del normalized_shapes[:]
     for h in ("infinite", "finite"):
-        after = {**whole_reads(vm, h, path), **subset_reads(vm, h, rows, pts, keys)}
+        after = {**whole_reads(vm, h, path), **subset_reads(vm, rows, pts, keys)}
         for name in before[h]:
             same(after[name], before[h][name])
     assert normalized_shapes == []  # every read came from the kept views
@@ -1058,7 +1069,7 @@ def test_writing_into_returned_arrays_changes_no_later_read(tmp_path):
         expect = parent_reads(vm, horizon, rows, pts, keys)
         for _ in range(2):
             got = {**whole_reads(vm, horizon, path),
-                   **subset_reads(vm, horizon, rows, pts, keys)}
+                   **subset_reads(vm, rows, pts, keys)}
             for name, value in got.items():
                 same(value, expect[name])
                 if value.flags.writeable:
@@ -1080,7 +1091,7 @@ def test_one_normalization_serves_every_read_of_a_state(normalized_shapes, tmp_p
     def read_everything(m):
         m.distributions(np.array([4, 1, 4]))
         m.voxel_classes(np.array([2, 3]))
-        m.query_voxel(m.keys_array[7])
+        m.distributions(m.rows_for_keys(m.keys_array[7:8]))
         m.lookup_points(pts)
         m.voxel_classes()
         m.save(os.devnull)
@@ -1092,10 +1103,9 @@ def test_one_normalization_serves_every_read_of_a_state(normalized_shapes, tmp_p
     del normalized_shapes[:]
     read_everything(vm)
     assert normalized_shapes == [(V, C)]
-    # each horizon has its own view
-    vm.query_voxel(vm.keys_array[7], "finite")
-    vm.export_cloud("finite")
-    vm.lookup_points(pts, "finite")
+    # the finite horizon has its own view, which its two reads share
+    vm.per_class_voxel_counts("finite")
+    vm.save(os.devnull, horizon="finite")
     assert normalized_shapes == [(V, C), (V, C)]
     # a loaded map keeps the stored state as it is, and its first read
     # normalizes it once
