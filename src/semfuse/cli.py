@@ -3,6 +3,7 @@ file-based logs."""
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
@@ -22,9 +23,16 @@ def _config(path, **overrides) -> runner.RunConfig:
     return runner.RunConfig(**kwargs)
 
 
-def _fail(err) -> None:
-    click.echo(f"error: {err}", err=True)
-    sys.exit(1)
+def _reported(command):
+    """Run a command's whole body; bad input, config or files print `error: ...`, exit 1."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            command(*args, **kwargs)
+        except (ParseError, InvalidInputError, ConfigurationError, OSError) as e:
+            click.echo(f"error: {e}", err=True)
+            sys.exit(1)
+    return run
 
 
 @click.group()
@@ -39,12 +47,10 @@ def main():
 @click.option("--seed", default=0, show_default=True)
 @click.option("--scans", "n_scans", type=int, default=None,
               help="Override the scene's scan count.")
+@_reported
 def synth(scene, out_dir, seed, n_scans):
     """Generate a synthetic sensor log (scans, frames, detections, ground truth)."""
-    try:
-        meta = runner.generate_log(scene, out_dir, seed=seed, n_scans=n_scans)
-    except (ParseError, InvalidInputError, OSError) as e:
-        _fail(e)
+    meta = runner.generate_log(scene, out_dir, seed=seed, n_scans=n_scans)
     click.echo(json.dumps(meta))
 
 
@@ -56,15 +62,12 @@ def synth(scene, out_dir, seed, n_scans):
 @click.option("--s-factor", type=float, default=None)
 @click.option("--alpha-dyn", type=float, default=None)
 @click.option("--alpha-stat", type=float, default=None)
+@_reported
 def fuse(config, output_dir, camera_only, s_factor, alpha_dyn, alpha_stat):
     """Fuse camera semantics and detections into scans and image masks."""
-    try:
-        cfg = _config(config, output_dir=output_dir, camera_only=camera_only,
-                      s_factor=s_factor, alpha_dyn=alpha_dyn,
-                      alpha_stat=alpha_stat)
-        out = runner.run_fuse(cfg)
-    except (ParseError, InvalidInputError, ConfigurationError, OSError) as e:
-        _fail(e)
+    cfg = _config(config, output_dir=output_dir, camera_only=camera_only,
+                  s_factor=s_factor, alpha_dyn=alpha_dyn, alpha_stat=alpha_stat)
+    out = runner.run_fuse(cfg)
     click.echo(json.dumps(out))
 
 
@@ -79,14 +82,12 @@ def fuse(config, output_dir, camera_only, s_factor, alpha_dyn, alpha_stat):
                    "applies with --horizon finite.")
 @click.option("--horizon", type=click.Choice(["infinite", "finite"]), default=None)
 @click.option("--map-out", type=click.Path(), default=None)
+@_reported
 def map_cmd(config, output_dir, clouds, voxel_size, n_horizon, horizon, map_out):
     """Integrate fused clouds into a semantic voxel map snapshot."""
-    try:
-        cfg = _config(config, output_dir=output_dir, voxel_size=voxel_size,
-                      n_horizon=n_horizon, horizon=horizon)
-        out = runner.run_map(cfg, clouds_dir=clouds, map_path=map_out)
-    except (ParseError, InvalidInputError, ConfigurationError, OSError) as e:
-        _fail(e)
+    cfg = _config(config, output_dir=output_dir, voxel_size=voxel_size,
+                  n_horizon=n_horizon, horizon=horizon)
+    out = runner.run_map(cfg, clouds_dir=clouds, map_path=map_out)
     click.echo(json.dumps(out))
 
 
@@ -102,17 +103,15 @@ def map_cmd(config, output_dir, clouds, voxel_size, n_horizon, horizon, map_out)
               default=None)
 @click.option("--ground-correction", is_flag=True, default=None)
 @click.option("--include-intensity", is_flag=True, default=None)
+@_reported
 def pseudolabel(config, map_path, output_dir, threshold, window, provenance,
                 ground_correction, include_intensity):
     """Emit training-ready pseudo-label samples from an aggregated map."""
-    try:
-        cfg = _config(config, output_dir=output_dir, threshold=threshold,
-                      window=window, provenance=provenance,
-                      ground_correction=ground_correction,
-                      include_intensity=include_intensity)
-        out = runner.run_pseudolabel(cfg, map_path=map_path)
-    except (ParseError, InvalidInputError, ConfigurationError, OSError) as e:
-        _fail(e)
+    cfg = _config(config, output_dir=output_dir, threshold=threshold,
+                  window=window, provenance=provenance,
+                  ground_correction=ground_correction,
+                  include_intensity=include_intensity)
+    out = runner.run_pseudolabel(cfg, map_path=map_path)
     click.echo(json.dumps(out))
 
 
@@ -125,21 +124,19 @@ def pseudolabel(config, map_path, output_dir, threshold, window, provenance,
 @click.option("--camera-fov", is_flag=True, default=False,
               help="Restrict to points inside the camera frustum.")
 @click.option("--json", "json_path", type=click.Path(), default=None)
+@_reported
 def eval_cmd(config, pred, reference, camera_fov, json_path):
     """Per-class and mean IoU against an annotated reference map."""
-    try:
-        cfg = _config(config)
-        result = runner.run_eval(cfg, pred, reference, camera_fov=camera_fov)
-    except (ParseError, InvalidInputError, ConfigurationError, OSError) as e:
-        _fail(e)
-    click.echo(format_report(result))
+    result = runner.run_eval(_config(config), pred, reference, camera_fov=camera_fov)
     if json_path:
         write_json_report(result, json_path)
+    click.echo(format_report(result))
 
 
 @main.command()
 @click.option("--seed", default=0, show_default=True)
 @click.option("--repeats", default=5, show_default=True)
+@_reported
 def bench(seed, repeats):
     """Throughput of fuse_cloud, integrate_scan, and image smoothing."""
     out = runner.run_bench(seed=seed, repeats=repeats)

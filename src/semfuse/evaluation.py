@@ -18,19 +18,16 @@ class ConfigurationError(ValueError):
 
 @dataclass
 class ConfusionAccumulator:
-    """Per-class TP/FP/FN counters that batches of (predicted, reference)
-    class pairs are added into."""
+    """Per-class TP/FP/FN counters, zero at construction, that batches of
+    (predicted, reference) class pairs are added into."""
 
     num_classes: int
-    tp: np.ndarray = field(default=None)
-    fp: np.ndarray = field(default=None)
-    fn: np.ndarray = field(default=None)
+    tp: np.ndarray = field(init=False)
+    fp: np.ndarray = field(init=False)
+    fn: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.tp is None:
-            self.tp = np.zeros(self.num_classes, dtype=np.int64)
-            self.fp = np.zeros(self.num_classes, dtype=np.int64)
-            self.fn = np.zeros(self.num_classes, dtype=np.int64)
+        self.tp, self.fp, self.fn = np.zeros((3, self.num_classes), dtype=np.int64)
 
     def add(self, predicted: np.ndarray, reference: np.ndarray) -> None:
         predicted = np.asarray(predicted)
@@ -53,11 +50,9 @@ class IoUResult:
     labelset: LabelSet
     restricted_fov: bool = False
 
-    def mean(self, include_empty: bool = False) -> float:
+    def mean(self) -> float:
+        """Mean IoU over the observed classes; NaN when there are none."""
         vals = self.per_class
-        if include_empty:
-            vals = np.nan_to_num(vals, nan=0.0)
-            return float(vals.mean())
         obs = vals[~np.isnan(vals)]
         return float(obs.mean()) if len(obs) else float("nan")
 
@@ -112,9 +107,9 @@ def accumulate_scan_vs_map(acc: ConfusionAccumulator, cloud, reference: VoxelMap
     acc.add(pred, ref)
 
 
-def iou_scan_vs_map(clouds, reference: VoxelMap, labelset: LabelSet) -> IoUResult:
-    if not isinstance(clouds, (list, tuple)):
-        clouds = [clouds]
+def iou_scan_vs_map(clouds: list, reference: VoxelMap, labelset: LabelSet) -> IoUResult:
+    """Pointwise IoU of a list of semantic clouds (map frame) pooled
+    against the reference map, by the rules of `accumulate_scan_vs_map`."""
     acc = ConfusionAccumulator(reference.num_classes)
     for cloud in clouds:
         accumulate_scan_vs_map(acc, cloud, reference, labelset)

@@ -15,8 +15,9 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from . import labels as lb
-from .geometry import (CameraModel, SphericalModel, Trajectory, lidar_to_camera,
-                       nearest_per_cell, project_pinhole, sample_bilinear)
+from .geometry import (CameraModel, SphericalModel, Trajectory, apply, lidar_to_camera,
+                       nearest_per_cell, pinhole_rays, project_pinhole,
+                       sample_bilinear)
 from .labels import InvalidInputError
 
 ALPHA_DYNAMIC = 0.80
@@ -116,6 +117,8 @@ def cluster_tolerance(d_seed: float, model: SphericalModel,
     and the LiDAR's vertical angular resolution."""
     if d_seed <= 0:
         raise InvalidInputError("seed distance must be positive")
+    if not s > 0:
+        raise InvalidInputError(f"cluster factor s must be positive, got {s}")
     return s * d_seed * model.fov_vertical / model.height
 
 
@@ -192,7 +195,7 @@ def fuse_cloud(xyz: np.ndarray, t_scan: float,
         idx = np.flatnonzero(inside)
         u, v = np.take(u, idx), np.take(v, idx)
         cams.append((idx, u, v, p_cam[idx, 2]))
-        img_p, _ = sample_bilinear(view.frame.probs, u, v)
+        img_p = sample_bilinear(view.frame.probs, u, v)
         img_p /= img_p.sum(axis=-1, keepdims=True)
         probs[idx] = lb.bayes_fuse(np.take(probs, idx, axis=0), img_p)
 
@@ -232,15 +235,11 @@ def warp_previous_frame(prev: SegmentationFrame, T_cur_prev: np.ndarray,
     """
     if prev.depth is None:
         raise InvalidInputError("temporal smoothing requires depth on the previous frame")
+    _check_frame(prev, cam)
     H, W = prev.shape
-    vs, us = np.mgrid[0:H, 0:W]
     z = prev.depth
     ok = np.isfinite(z) & (z > 0)
-    us, vs, z = us[ok], vs[ok], z[ok]
-    pts = np.stack([(us - cam.cx) / cam.fx * z,
-                    (vs - cam.cy) / cam.fy * z,
-                    z], axis=-1)
-    cur = pts @ T_cur_prev[:3, :3].T + T_cur_prev[:3, 3]
+    cur = apply(T_cur_prev, pinhole_rays(cam)[ok] * z[ok][:, None])
     u, v, valid = project_pinhole(cur, cam)
     ui = np.clip(np.round(u[valid]).astype(int), 0, W - 1)
     vi = np.clip(np.round(v[valid]).astype(int), 0, H - 1)

@@ -179,12 +179,12 @@ def lidar_to_camera(points: np.ndarray, t_lidar: float, t_cam: float,
 
 
 def project_pinhole(p_cam: np.ndarray, cam: CameraModel):
-    """Project camera-frame points to pixels.
+    """Project (N, 3) camera-frame points to pixels.
 
     Returns (u, v, valid); valid is False behind the camera (z <= 1e-6) or
-    outside [0, w) x [0, h).
+    outside [0, w) x [0, h). Points of any other shape are rejected by name.
     """
-    p = np.atleast_2d(np.asarray(p_cam, dtype=np.float64))
+    p = _point_rows(p_cam)
     z = p[:, 2]
     in_front = z > 1e-6
     zs = np.where(in_front, z, 1.0)
@@ -195,21 +195,23 @@ def project_pinhole(p_cam: np.ndarray, cam: CameraModel):
     v /= zs
     v += cam.cy
     valid = in_front & (u >= 0) & (u < cam.width) & (v >= 0) & (v < cam.height)
-    if np.asarray(p_cam).ndim == 1:
-        return float(u[0]), float(v[0]), bool(valid[0])
     return u, v, valid
+
+
+def pinhole_rays(cam: CameraModel) -> np.ndarray:
+    """((u - cx) / fx, (v - cy) / fy, 1) per pixel, shape (H, W, 3): the
+    camera-frame point at depth 1 that `project_pinhole` maps to (u, v)."""
+    vs, us = np.mgrid[0:cam.height, 0:cam.width]
+    return np.stack([(us - cam.cx) / cam.fx, (vs - cam.cy) / cam.fy,
+                     np.ones((cam.height, cam.width))], axis=-1)
 
 
 def sample_bilinear(grid: np.ndarray, u, v):
     """Bilinearly sample an (H, W, C) or (H, W) grid at subpixel (u, v).
 
     Coordinates address cell centers at integer positions; borders clamp.
-    Returns (values, in_bounds).
     """
     H, W = grid.shape[:2]
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    inb = (u > -0.5) & (u < W - 0.5) & (v > -0.5) & (v < H - 0.5)
     uc = np.clip(u, 0.0, W - 1.0)
     vc = np.clip(v, 0.0, H - 1.0)
     u0 = np.floor(uc).astype(int)
@@ -236,20 +238,21 @@ def sample_bilinear(grid: np.ndarray, u, v):
         term *= wu
         term *= wv
         val += term
-    return val, inb
+    return val
 
 
 def _point_rows(points) -> np.ndarray:
-    """One (3,) point or (N, 3) points as float64 (N, 3) rows; any other
-    shape is rejected by name."""
+    """(N, 3) points as a float64 array; any other shape, a single (3,)
+    point or a transposed (3, N) cloud included, is rejected by name."""
     p = np.asarray(points, dtype=np.float64)
-    if p.ndim not in (1, 2) or p.shape[-1] != 3:
-        raise InvalidInputError(f"points must have shape (3,) or (N, 3), got {p.shape}")
-    return p.reshape(-1, 3)
+    if p.ndim != 2 or p.shape[1] != 3:
+        raise InvalidInputError(f"points must have shape (N, 3), got {p.shape}")
+    return p
 
 
 def project_spherical(points: np.ndarray, model: SphericalModel):
-    """Spherical projection of sensor-frame points to range-image coordinates.
+    """Spherical projection of (N, 3) sensor-frame points to range-image
+    coordinates.
 
     u = 0.5 (1 - atan2(y, x) / pi) w,  v = (1 - (asin(z / r) + f_down) / f) h,
     with r = sqrt((x^2 + y^2) + z^2) summed in that order.
@@ -271,8 +274,6 @@ def project_spherical(points: np.ndarray, model: SphericalModel):
     u = 0.5 * (1.0 - yaw / np.pi) * model.width
     v = (1.0 - (pitch + abs(model.f_down)) / f) * model.height
     valid = (r <= model.r_max) & (v >= 0) & (v < model.height)
-    if np.ndim(points) == 1:
-        return float(u[0]), float(v[0]), float(r[0]), bool(valid[0])
     return u, v, r, valid
 
 
@@ -338,10 +339,9 @@ def nearest_per_cell(cell: np.ndarray, depth: np.ndarray, n_cells: int):
 
 
 def render_range_image(points: np.ndarray, model: SphericalModel) -> RangeImage:
-    """Z-buffer the points (sensor frame) into a spherical range image; the
-    nearest point per cell wins. cell_index records the winning row of
-    `points` per cell (-1 where empty). `points` is (N, 3), or one (3,)
-    point."""
+    """Z-buffer the (N, 3) points (sensor frame) into a spherical range
+    image; the nearest point per cell wins. cell_index records the winning
+    row of `points` per cell (-1 where empty)."""
     points = _point_rows(points)
     img = RangeImage.empty(model)
     H, W = model.height, model.width
@@ -361,6 +361,7 @@ def render_range_image(points: np.ndarray, model: SphericalModel) -> RangeImage:
 
 def render_virtual_scan(cloud_xyz: np.ndarray, viewpoint: Pose,
                         model: SphericalModel) -> RangeImage:
-    """Render world-frame points into a virtual spherical view at `viewpoint`."""
-    local = apply(invert(viewpoint.matrix()), np.reshape(cloud_xyz, (-1, 3)))
+    """Render (N, 3) world-frame points into a virtual spherical view at
+    `viewpoint`."""
+    local = apply(invert(viewpoint.matrix()), _point_rows(cloud_xyz))
     return render_range_image(local, model)

@@ -65,7 +65,6 @@ class PseudoLabelImage:
     confidence: np.ndarray  # (H, W) float
     provenance: str
     viewpoint: Pose
-    model: SphericalModel
     scan_id: int = 0
     threshold: float = DEFAULT_CONFIDENCE
     xyz: np.ndarray | None = None  # (H, W, 3) sensor frame, per labeled cell
@@ -97,7 +96,7 @@ def _image_from_render(img: RangeImage, cls: np.ndarray, conf: np.ndarray,
     flat = np.nonzero(hit.reshape(-1))[0][keep]
     classes.reshape(-1)[flat] = cls[src[keep]]
     confidence[classes == UNLABELED] = 0.0
-    return PseudoLabelImage(classes, confidence, provenance, viewpoint, img.model,
+    return PseudoLabelImage(classes, confidence, provenance, viewpoint,
                             scan_id=scan_id, threshold=threshold,
                             xyz=img.xyz, range=img.range)
 
@@ -194,21 +193,18 @@ def _fit_plane_ransac(points: np.ndarray, rng: np.random.Generator):
     return best
 
 
-def ground_plane_correction(img: PseudoLabelImage, labelset: LabelSet,
-                            ground_classes: set[int] | None = None,
-                            seed: int = 0) -> PseudoLabelImage:
+def ground_plane_correction(img: PseudoLabelImage, labelset: LabelSet) -> PseudoLabelImage:
     """Unlabel cells that lie on the dominant ground plane but carry a
-    non-ground class; corrects artifacts at object borders.
+    class other than the label set's GROUND_CLASS_NAMES; corrects artifacts
+    at object borders.
 
-    The plane is fit by random-sample consensus over points in the lowest
-    height band of the scan. With too few candidates the image is returned
-    unchanged with a warning.
+    The plane is fit by random-sample consensus, seeded with 0, over points
+    in the lowest height band of the scan. With too few candidates the image
+    is returned unchanged with a warning.
     """
     if img.xyz is None or img.range is None:
         raise InvalidInputError("pseudo-label image carries no per-cell geometry")
-    if ground_classes is None:
-        ground_classes = {labelset.index(n) for n in GROUND_CLASS_NAMES
-                          if n in labelset.names}
+    ground_classes = [labelset.index(n) for n in GROUND_CLASS_NAMES if n in labelset.names]
     valid = img.range >= 0
     pts = img.xyz[valid]
     if len(pts) == 0:
@@ -220,7 +216,7 @@ def ground_plane_correction(img: PseudoLabelImage, labelset: LabelSet,
         warnings.warn(f"ground-plane fit skipped: {len(band)} candidates "
                       f"(< {MIN_PLANE_CANDIDATES})", stacklevel=2)
         return img
-    fit = _fit_plane_ransac(band, np.random.default_rng(seed))
+    fit = _fit_plane_ransac(band, np.random.default_rng(0))
     if fit is None:
         warnings.warn("ground-plane fit failed", stacklevel=2)
         return img
@@ -229,7 +225,7 @@ def ground_plane_correction(img: PseudoLabelImage, labelset: LabelSet,
     conf = img.confidence.copy()
     dist = np.abs(img.xyz @ normal + d)
     on_plane = valid & (dist < RANSAC_INLIER_DIST) & img.labeled
-    non_ground = ~np.isin(classes, list(ground_classes))
+    non_ground = ~np.isin(classes, ground_classes)
     reset = on_plane & non_ground
     classes[reset] = UNLABELED
     conf[reset] = 0.0

@@ -181,11 +181,12 @@ def log_normalize(L: np.ndarray, axis: int = -1) -> np.ndarray:
     return L - np.expand_dims(logsumexp(L, axis=axis), axis)
 
 
-def exp_normalized(Ln: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Distributions from normalized log states, in place: exp, then divide
-    by the sum along `axis` so that rounding leaves each one summing to 1."""
+def exp_normalized(Ln: np.ndarray) -> np.ndarray:
+    """Distributions from normalized log states along the last axis, in
+    place: exp, then divide by each row's sum so that rounding leaves it
+    summing to 1."""
     np.exp(Ln, out=Ln)
-    Ln /= Ln.sum(axis=axis, keepdims=True)
+    Ln /= Ln.sum(axis=-1, keepdims=True)
     return Ln
 
 

@@ -61,16 +61,24 @@ class RunConfig:
     include_intensity: bool = False
 
     def __post_init__(self):
-        if self.horizon not in ("infinite", "finite"):
-            raise InvalidInputError(
-                f"horizon must be 'infinite' or 'finite', got {self.horizon!r}")
+        for name, ok, rule in (
+                ("horizon", self.horizon in ("infinite", "finite"), "'infinite' or 'finite'"),
+                ("voxel_size", 0 < self.voxel_size < np.inf, "finite and > 0"),
+                ("n_horizon", self.n_horizon >= 1, ">= 1"),
+                ("window", self.window >= 0, ">= 0"),
+                ("threshold", 0 <= self.threshold <= 1, "in [0, 1]"),
+                ("alpha_dyn", 0 < self.alpha_dyn <= 1, "in (0, 1]"),
+                ("alpha_stat", 0 < self.alpha_stat <= 1, "in (0, 1]"),
+                ("s_factor", 0 < self.s_factor < np.inf, "finite and > 0")):
+            if not ok:
+                raise InvalidInputError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     @classmethod
     def load(cls, path: str, **overrides) -> "RunConfig":
         """A JSON object of RunConfig fields, with the non-None `overrides`
         on top. A file that is not valid JSON, not an object, names an
-        unknown key, or gives a value of the wrong type or an unknown
-        horizon raises ParseError naming the file."""
+        unknown key, or gives a value of the wrong type, an unknown horizon
+        or a value out of its range raises ParseError naming the file."""
         with open(path) as f:
             try:
                 cfg = json.load(f)
@@ -113,16 +121,16 @@ class RunConfig:
 def generate_log(scene_path: str, out_dir: str, seed: int = 0,
                  n_scans: int | None = None,
                  lidar_noise: NoiseSpec | None = None,
-                 camera_noise: NoiseSpec | None = None,
-                 labelset: LabelSet | None = None) -> dict:
+                 camera_noise: NoiseSpec | None = None) -> dict:
     """Generate a complete file-based sensor log plus ground truth from a
-    scene description. Deterministic given the seed. `n_scans` overrides
-    the scene's scan count. A count below 1 raises InvalidInputError, and a
-    scene file that is incomplete or invalid ParseError naming it, before
-    `out_dir` is made."""
+    scene description, over the default label set. Deterministic given the
+    seed. `n_scans` overrides the scene's scan count, and the noise specs
+    the scene's `noise` section for one sensor each. A count below 1 raises
+    InvalidInputError, and a scene file that is incomplete or invalid
+    ParseError naming it, before `out_dir` is made."""
     if n_scans is not None and n_scans < 1:
         raise InvalidInputError(f"n_scans must be at least 1, got {n_scans}")
-    labelset = labelset or LabelSet.default()
+    labelset = LabelSet.default()
     scene, spec = load_scene(scene_path, labelset)
     # the rest of the spec is read before the log directory is made
     try:
@@ -425,19 +433,22 @@ def run_eval(cfg: RunConfig, pred: str, reference: str,
 # benchmark
 
 
-def run_bench(seed: int = 0, repeats: int = 5,
-              scan_shape=(128, 1024), frame_shape=(480, 848)) -> dict:
-    """Throughput of the hot paths on a standard synthetic workload."""
+def run_bench(seed: int = 0, repeats: int = 5) -> dict:
+    """Throughput of the hot paths on a synthetic 128 x 1024 scan and a
+    480 x 848 frame, each timed `repeats` (>= 1) times."""
+    if repeats < 1:
+        raise InvalidInputError(f"repeats must be at least 1, got {repeats}")
     rng = np.random.default_rng(seed)
     labelset = LabelSet.default()
     C = labelset.num_classes
-    model = SphericalModel(width=scan_shape[1], height=scan_shape[0])
+    model = SphericalModel()
+    frame_shape = (480, 848)
     cam = CameraModel(fx=500, fy=500, cx=frame_shape[1] / 2, cy=frame_shape[0] / 2,
                       width=frame_shape[1], height=frame_shape[0],
                       T_cam_base=forward_camera_extrinsic())
     traj = Trajectory([Pose(0.0, np.zeros(3), np.array([1.0, 0, 0, 0])),
                        Pose(10.0, np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0]))])
-    n = scan_shape[0] * scan_shape[1]
+    n = model.height * model.width
     xyz = rng.uniform(-30, 30, size=(n, 3))
     scores = rng.normal(0, 1, size=(n, C))
     scores[np.arange(n), rng.integers(0, C, n)] += 6.0

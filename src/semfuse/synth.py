@@ -14,8 +14,8 @@ import numpy as np
 
 from .fileio import ParseError
 from .fusion import Detection, SegmentationFrame
-from .geometry import (CameraModel, Pose, RangeImage, SphericalModel, invert,
-                       spherical_ray_directions)
+from .geometry import (CameraModel, Pose, RangeImage, SphericalModel, apply, invert,
+                       pinhole_rays, project_pinhole, spherical_ray_directions)
 from .labels import InvalidInputError, LabelSet, softmax
 
 MISS = -1
@@ -27,11 +27,11 @@ R_BASE_CAM = np.array([[0.0, 0.0, 1.0],
                        [0.0, -1.0, 0.0]])
 
 
-def forward_camera_extrinsic(offset=(0.0, 0.0, 0.0)) -> np.ndarray:
-    """cam_T_base for a camera looking along base +x, mounted at `offset`."""
+def forward_camera_extrinsic() -> np.ndarray:
+    """cam_T_base for a camera looking along base +x, mounted at the base
+    origin."""
     T_base_cam = np.eye(4)
     T_base_cam[:3, :3] = R_BASE_CAM
-    T_base_cam[:3, 3] = offset
     return invert(T_base_cam)
 
 
@@ -127,8 +127,9 @@ class Primitive:
             return pos + [0.0, 0.0, half_h], float(np.hypot(0.5 * self.size[0], half_h))
         return None
 
-    def sample_surface(self, t: float, n: int = 64) -> np.ndarray:
-        """Surface sample points for silhouette bounding boxes."""
+    def sample_surface(self, t: float) -> np.ndarray:
+        """Silhouette sample points: a box's 8 corners, or 64 on each of
+        a cylinder's bottom, middle and top rims."""
         pos = self.position_at(t)
         if self.shape == "box":
             corners = np.array([[sx, sy, sz]
@@ -139,8 +140,8 @@ class Primitive:
         if self.shape == "cylinder":
             r = 0.5 * self.size[0]
             h = self.size[2]
-            ang = np.linspace(0, 2 * np.pi, n, endpoint=False)
-            ring = np.stack([r * np.cos(ang), r * np.sin(ang), np.zeros(n)], axis=-1)
+            ang = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+            ring = np.stack([r * np.cos(ang), r * np.sin(ang), np.zeros(64)], axis=-1)
             pts = [pos + ring + [0, 0, z] for z in (0.0, 0.5 * h, h)]
             return np.concatenate(pts)
         raise InvalidInputError("planes have no silhouette bbox")
@@ -311,10 +312,7 @@ def simulate_segmentation(scene: Scene, pose_cam: Pose, cam: CameraModel,
     if t is None:
         t = pose_cam.t
     H, W = cam.height, cam.width
-    vs, us = np.mgrid[0:H, 0:W]
-    d_cam = np.stack([(us + 0.0 - cam.cx) / cam.fx,
-                      (vs + 0.0 - cam.cy) / cam.fy,
-                      np.ones((H, W))], axis=-1).reshape(-1, 3)
+    d_cam = pinhole_rays(cam).reshape(-1, 3)
     norms = np.linalg.norm(d_cam, axis=-1, keepdims=True)
     unit = d_cam / norms
     R = pose_cam.matrix()[:3, :3]
@@ -333,9 +331,8 @@ def simulate_segmentation(scene: Scene, pose_cam: Pose, cam: CameraModel,
 
 def simulate_detections(scene: Scene, pose_cam: Pose, cam: CameraModel,
                         noise: NoiseSpec | None = None, t: float | None = None,
-                        rng: np.random.Generator | None = None,
-                        source: str = "rgb") -> list[Detection]:
-    """One bounding box per visible dynamic-class primitive (projected
+                        rng: np.random.Generator | None = None) -> list[Detection]:
+    """One RGB bounding box per visible dynamic-class primitive (projected
     silhouette AABB), plus configurable misses and false positives."""
     noise = noise or NoiseSpec()
     rng = rng or np.random.default_rng(0)
@@ -347,13 +344,11 @@ def simulate_detections(scene: Scene, pose_cam: Pose, cam: CameraModel,
     for prim in scene.primitives:
         if prim.class_index not in dynamic or prim.shape == "plane":
             continue
-        pts = prim.sample_surface(t)
-        local = pts @ T_cam_world[:3, :3].T + T_cam_world[:3, 3]
+        local = apply(T_cam_world, prim.sample_surface(t))
         front = local[:, 2] > 1e-6
         if not np.any(front):
             continue
-        u = cam.fx * local[front, 0] / local[front, 2] + cam.cx
-        v = cam.fy * local[front, 1] / local[front, 2] + cam.cy
+        u, v, _ = project_pinhole(local[front], cam)
         x0 = max(float(u.min()), 0.0)
         x1 = min(float(u.max()), cam.width - 1.0)
         y0 = max(float(v.min()), 0.0)
@@ -364,7 +359,7 @@ def simulate_detections(scene: Scene, pose_cam: Pose, cam: CameraModel,
             continue
         score = float(np.clip(rng.normal(noise.det_score_mean, noise.det_score_sigma),
                               0.05, 1.0))
-        dets.append(Detection(prim.class_index, score, (x0, y0, x1, y1), source))
+        dets.append(Detection(prim.class_index, score, (x0, y0, x1, y1)))
     if noise.det_false_rate > 0 and rng.random() < noise.det_false_rate:
         w = rng.uniform(20, cam.width / 3)
         h = rng.uniform(20, cam.height / 3)
@@ -373,5 +368,5 @@ def simulate_detections(scene: Scene, pose_cam: Pose, cam: CameraModel,
         cls = int(rng.choice(sorted(dynamic))) if dynamic else 0
         score = float(np.clip(rng.normal(noise.det_score_mean,
                                          noise.det_score_sigma), 0.05, 1.0))
-        dets.append(Detection(cls, score, (x0, y0, x0 + w, y0 + h), source))
+        dets.append(Detection(cls, score, (x0, y0, x0 + w, y0 + h)))
     return dets

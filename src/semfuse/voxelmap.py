@@ -19,6 +19,7 @@ from scipy.sparse import csr_matrix
 
 from . import labels as lb
 from .fusion import SemanticCloud
+from .geometry import _point_rows
 from .labels import InvalidInputError
 
 SNAPSHOT_MAGIC = b"SFV2"
@@ -37,11 +38,9 @@ _KEY_MASK = (1 << _KEY_BITS) - 1
 
 def voxel_keys(xyz: np.ndarray, voxel_size: float) -> np.ndarray:
     """Integer voxel index per (N, 3) point, floor division (not truncation)
-    so negative coordinates bin consistently."""
-    xyz = np.asarray(xyz, dtype=np.float64)
-    if xyz.ndim != 2 or xyz.shape[1] != 3:
-        raise InvalidInputError(f"points must have shape (N, 3), got {xyz.shape}")
-    scaled = xyz / voxel_size
+    so negative coordinates bin consistently. Other shapes are rejected by
+    name."""
+    scaled = _point_rows(xyz) / voxel_size
     return _int_keys(np.floor(scaled, out=scaled), integral=True)
 
 

@@ -380,8 +380,8 @@ def test_spherical_projection_round_trip():
     rel = np.linalg.norm(back - pts, axis=1) / np.linalg.norm(pts, axis=1)
     assert rel.max() < 1e-6
 
-    u0, v0, _, ok = project_spherical(np.array([5.0, 0.0, 0.0]), model)
-    assert ok and u0 == model.width / 2 and v0 == model.height / 2
+    u0, v0, _, ok = project_spherical(np.array([[5.0, 0.0, 0.0]]), model)
+    assert ok[0] and u0[0] == model.width / 2 and v0[0] == model.height / 2
     print(f"PASS projection round trip: 1e5 points, max relative error "
           f"{rel.max():.2e}; forward axis at exact image center")
 

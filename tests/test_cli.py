@@ -209,13 +209,25 @@ def absolute_config(log_dir, out):
     pytest.param('[["window", 2]]', "config is not a JSON object", id="not-an-object"),
     pytest.param({"horizon": "Finite"},
                  "horizon must be 'infinite' or 'finite', got 'Finite'", id="unknown-horizon"),
+    pytest.param({"voxel_size": -1.0}, "voxel_size must be finite and > 0, got -1.0",
+                 id="negative-voxel-size"),
+    pytest.param({"n_horizon": 0, "horizon": "finite"}, "n_horizon must be >= 1, got 0",
+                 id="zero-n-horizon"),
+    pytest.param({"window": -1}, "window must be >= 0, got -1", id="negative-window"),
+    pytest.param({"threshold": 2.0}, "threshold must be in [0, 1], got 2.0",
+                 id="threshold-above-one"),
+    pytest.param({"alpha_dyn": 0.0}, "alpha_dyn must be in (0, 1], got 0.0", id="zero-alpha"),
+    pytest.param({"alpha_stat": 1.5}, "alpha_stat must be in (0, 1], got 1.5",
+                 id="alpha-above-one"),
+    pytest.param({"s_factor": -1.0}, "s_factor must be finite and > 0, got -1.0",
+                 id="negative-s-factor"),
 ])
 def test_config_file_faults_exit_naming_the_file(log_dir, runner, tmp_path, text, what):
-    """A config that misspells a key, gives a value of the wrong type or an
-    unknown horizon, is not JSON, or is not a JSON object fails every
-    command with one error line naming the file, before any work and before
-    any output directory is made; a misspelt key is not dropped for its
-    default."""
+    """A config that misspells a key, gives a value of the wrong type, an
+    unknown horizon or a value out of its range, is not JSON, or is not a
+    JSON object fails every command with one error line naming the file,
+    before any work and before any output directory is made; a misspelt key
+    is not dropped for its default."""
     bad = tmp_path / "config.json"
     if isinstance(text, dict):
         text = json.dumps({**absolute_config(log_dir, tmp_path / "out"), **text})
@@ -427,6 +439,27 @@ def test_pseudolabel_nonzero_exit_names_corrupt_map(log_dir, runner, tmp_path):
     assert res.exit_code == 1
     assert res.output.startswith(f"error: {bad}: ")
     assert not (tmp_path / "pseudolabels").exists()
+
+
+def test_eval_unwritable_json_report_is_an_error_line(log_dir, runner, tmp_path):
+    """The `--json` write runs inside the command's error boundary: a
+    report path in a missing directory fails with one error line naming it,
+    not a traceback, and no report on stdout."""
+    gt_path = os.path.join(log_dir, "gt_map.svx")
+    report = tmp_path / "no" / "such" / "iou.json"
+    res = runner.invoke(main, ["eval", "--config", os.path.join(log_dir, "config.json"),
+                               "--pred", gt_path, "--ref", gt_path, "--json", str(report)])
+    assert res.exit_code == 1
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.output == f"error: [Errno 2] No such file or directory: '{report}'\n"
+
+
+@pytest.mark.parametrize("repeats", ["0", "-3"])
+def test_bench_without_repeats_is_an_error_line(runner, repeats):
+    res = runner.invoke(main, ["bench", "--repeats", repeats])
+    assert res.exit_code == 1
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.output == f"error: repeats must be at least 1, got {repeats}\n"
 
 
 def test_bench_smoke(runner):

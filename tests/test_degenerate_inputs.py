@@ -131,11 +131,13 @@ def test_render_virtual_scan_without_valid_points(points):
 
 
 def test_render_virtual_scan_single_1d_point():
+    """A bare (3,) point is rejected by name; one point is a (1, 3) array."""
     q = np.array([np.cos(0.3), 0.0, 0.0, np.sin(0.3)])
     pose = Pose(0.0, np.array([10.0, 1.0, 0.0]), q)
     point = np.array([15.0, 3.0, 0.5])
-    img = render_virtual_scan(point, pose, MODEL)
-    assert np.array_equal(img.range, render_virtual_scan(point[None], pose, MODEL).range)
+    with pytest.raises(InvalidInputError, match=r"shape \(N, 3\), got \(3,\)"):
+        render_virtual_scan(point, pose, MODEL)
+    img = render_virtual_scan(point[None], pose, MODEL)
     assert img.valid.sum() == 1
     v, u = np.argwhere(img.valid)[0]
     assert img.cell_index[v, u] == 0

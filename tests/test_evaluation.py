@@ -60,7 +60,7 @@ def test_perfect_prediction_is_one():
 def test_mean_skips_unobserved_by_default():
     res = IoUResult(np.array([0.5, np.nan, 1.0]), tiny_labelset())
     assert res.mean() == pytest.approx(0.75)
-    assert res.mean(include_empty=True) == pytest.approx(0.5)
+    assert np.isnan(IoUResult(np.full(3, np.nan), tiny_labelset()).mean())
 
 
 # --- scan vs map -------------------------------------------------------------
@@ -77,7 +77,7 @@ def ref_map(C=3):
 def test_scan_vs_map_self_comparison_perfect():
     vm = ref_map()
     cloud = vm.export_cloud()
-    res = iou_scan_vs_map(cloud, vm, tiny_labelset())
+    res = iou_scan_vs_map([cloud], vm, tiny_labelset())
     np.testing.assert_allclose(res.per_class, 1.0)
     assert res.mean() == 1.0
 
@@ -86,7 +86,7 @@ def test_scan_vs_map_unobserved_points_excluded():
     vm = ref_map()
     xyz = np.array([[0.5, 0.5, 0.5], [50.0, 50.0, 50.0]])
     probs = np.stack([one_hot(0, 3), one_hot(0, 3)])
-    res = iou_scan_vs_map(SemanticCloud(xyz, probs), vm, tiny_labelset())
+    res = iou_scan_vs_map([SemanticCloud(xyz, probs)], vm, tiny_labelset())
     assert res.per_class[0] == pytest.approx(1.0)
 
 
@@ -98,7 +98,7 @@ def test_scan_vs_map_unknown_reference_skipped(labelset):
     vm.integrate_scan(SemanticCloud(xyz, np.stack([one_hot(0, C),
                                                    one_hot(unk, C)])), 0)
     cloud = SemanticCloud(xyz, np.stack([one_hot(0, C), one_hot(3, C)]))
-    res = iou_scan_vs_map(cloud, vm, labelset)
+    res = iou_scan_vs_map([cloud], vm, labelset)
     # the unknown-reference point contributes nothing at all
     assert res.per_class[0] == pytest.approx(1.0)
     assert np.isnan(res.per_class[3])
@@ -109,7 +109,7 @@ def test_scan_vs_map_class_count_mismatch():
     cloud = SemanticCloud(np.array([[0.5, 0.5, 0.5]]),
                           np.array([[0.25, 0.25, 0.25, 0.25]]))
     with pytest.raises(ConfigurationError):
-        iou_scan_vs_map(cloud, vm, tiny_labelset())
+        iou_scan_vs_map([cloud], vm, tiny_labelset())
 
 
 def test_frustum_restriction():

@@ -96,6 +96,14 @@ def test_cluster_tolerance_rejects_nonpositive():
         cluster_tolerance(0.0, model)
 
 
+@pytest.mark.parametrize("s", [0.0, -1.5, float("nan")])
+def test_cluster_tolerance_rejects_nonpositive_factor(s):
+    """A cluster factor that is not positive would link no point to the
+    seed; it is rejected like a non-positive seed depth."""
+    with pytest.raises(InvalidInputError, match="cluster factor s must be positive"):
+        cluster_tolerance(10.0, SphericalModel(), s)
+
+
 def test_cluster_single_point():
     model = SphericalModel(width=1024, height=128)
     member, d_seed, _ = cluster_bbox_points(np.array([[1.0, 0, 0]]),
@@ -318,7 +326,7 @@ def whole_cloud_reset_fuse(xyz, t_scan, lidar_probs, views, traj, T_base_lidar,
         u, v, inside = project_pinhole(p_cam, view.cam)
         projections.append((u, v, p_cam[:, 2], inside))
         idx = np.flatnonzero(inside)
-        img_p, _ = sample_bilinear(view.frame.probs, u[idx], v[idx])
+        img_p = sample_bilinear(view.frame.probs, u[idx], v[idx])
         img_p /= img_p.sum(axis=-1, keepdims=True)
         probs[idx] = bayes_fuse(probs[idx], img_p)
     pre_detection = probs.copy()

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from semfuse.geometry import (CameraModel, OutOfRangeError, Pose, RangeImage,
                               SphericalModel, Trajectory, apply, invert,
-                              lidar_to_camera, nearest_per_cell,
+                              lidar_to_camera, nearest_per_cell, pinhole_rays,
                               project_pinhole, project_spherical,
                               render_range_image, render_virtual_scan,
                               sample_bilinear,
                               spherical_ray_directions, unproject_spherical)
 from semfuse.labels import InvalidInputError
+from semfuse.voxelmap import VoxelMap
 from tests.conftest import assert_blank_range_image
 
 IDENTITY_Q = np.array([1.0, 0, 0, 0])
@@ -151,21 +152,35 @@ def test_lidar_to_camera_equal_times_equals_static_composition():
 
 def test_project_pinhole_optical_axis():
     cam = CameraModel(fx=500, fy=500, cx=320, cy=240, width=640, height=480)
-    u, v, ok = project_pinhole(np.array([0.0, 0, 1.0]), cam)
-    assert (u, v, ok) == (320.0, 240.0, True)
+    u, v, ok = project_pinhole(np.array([[0.0, 0, 1.0]]), cam)
+    assert (u[0], v[0], ok[0]) == (320.0, 240.0, True)
 
 
 def test_project_pinhole_behind_camera():
     cam = CameraModel(fx=500, fy=500, cx=320, cy=240, width=640, height=480)
-    _, _, ok = project_pinhole(np.array([0.0, 0, -1.0]), cam)
-    assert not ok
+    _, _, ok = project_pinhole(np.array([[0.0, 0, -1.0]]), cam)
+    assert not ok[0]
 
 
 def test_project_pinhole_frozen():
     cam = CameraModel(fx=500, fy=500, cx=320, cy=240, width=640, height=480)
-    u, v, ok = project_pinhole(np.array([0.5, -0.2, 2.0]), cam)
-    assert ok
-    np.testing.assert_allclose([u, v], [445.0, 190.0], atol=1e-12)
+    u, v, ok = project_pinhole(np.array([[0.5, -0.2, 2.0]]), cam)
+    assert ok[0]
+    np.testing.assert_allclose([u[0], v[0]], [445.0, 190.0], atol=1e-12)
+
+
+def test_pinhole_rays_invert_the_projection():
+    """Each pixel's ray, at any positive depth, projects back onto that
+    pixel; the ray has depth 1."""
+    cam = CameraModel(fx=50, fy=40, cx=11.5, cy=7.25, width=24, height=16)
+    rays = pinhole_rays(cam)
+    assert rays.shape == (16, 24, 3)
+    np.testing.assert_array_equal(rays[..., 2], 1.0)
+    vs, us = np.mgrid[0:16, 0:24]
+    u, v, ok = project_pinhole(rays.reshape(-1, 3) * 3.5, cam)
+    assert ok.all()
+    np.testing.assert_allclose(u, us.ravel(), atol=1e-9)
+    np.testing.assert_allclose(v, vs.ravel(), atol=1e-9)
 
 
 def test_camera_model_rejects_bad_intrinsics():
@@ -178,29 +193,28 @@ def test_camera_model_rejects_bad_intrinsics():
 
 def test_bilinear_integer_exact():
     grid = np.arange(12, dtype=float).reshape(3, 4)
-    val, inb = sample_bilinear(grid, np.array([2.0]), np.array([1.0]))
-    assert inb[0]
+    val = sample_bilinear(grid, np.array([2.0]), np.array([1.0]))
     assert val[0] == grid[1, 2]
 
 
 def test_bilinear_midpoint_average():
     grid = np.zeros((2, 2))
     grid[1, 1] = 4.0
-    val, _ = sample_bilinear(grid, np.array([0.5]), np.array([0.5]))
+    val = sample_bilinear(grid, np.array([0.5]), np.array([0.5]))
     np.testing.assert_allclose(val, [1.0], atol=1e-12)
 
 
 def test_bilinear_fractional_blend():
     grid = np.array([[0.0, 8.0]])
-    val, _ = sample_bilinear(grid, np.array([0.25]), np.array([0.0]))
+    val = sample_bilinear(grid, np.array([0.25]), np.array([0.0]))
     np.testing.assert_allclose(val, [2.0], atol=1e-12)
 
 
 def test_bilinear_border_clamp_and_bounds():
     grid = np.array([[1.0, 2.0]])
-    val, inb = sample_bilinear(grid, np.array([-0.4, -0.6]), np.array([0.0, 0.0]))
-    assert inb[0] and not inb[1]
-    np.testing.assert_allclose(val[0], 1.0, atol=1e-12)
+    # inside the grid's border cell and beyond it, u clamps to the edge
+    val = sample_bilinear(grid, np.array([-0.4, -0.6, 1.6]), np.array([0.0, 0.0, 0.0]))
+    np.testing.assert_allclose(val, [1.0, 1.0, 2.0], atol=1e-12)
 
 
 # --- spherical --------------------------------------------------------------
@@ -208,53 +222,65 @@ def test_bilinear_border_clamp_and_bounds():
 
 def test_project_spherical_forward_axis_center():
     model = SphericalModel(width=1024, height=128)
-    u, v, r, ok = project_spherical(np.array([10.0, 0, 0]), model)
-    assert ok
-    assert (u, v) == (512.0, 64.0)
-    assert r == 10.0
+    u, v, r, ok = project_spherical(np.array([[10.0, 0, 0]]), model)
+    assert ok[0]
+    assert (u[0], v[0]) == (512.0, 64.0)
+    assert r[0] == 10.0
 
 
 def test_project_spherical_straight_up_flagged():
     model = SphericalModel(width=1024, height=128)
-    _, _, _, ok = project_spherical(np.array([0.0, 0, 5.0]), model)
-    assert not ok
+    _, _, _, ok = project_spherical(np.array([[0.0, 0, 5.0]]), model)
+    assert not ok[0]
 
 
 def test_project_spherical_frozen_u():
     model = SphericalModel(width=1024, height=128)
-    u, _, _, _ = project_spherical(np.array([1.0, 1.0, 0.0]), model)
-    np.testing.assert_allclose(u, 384.0, atol=1e-9)
+    u, _, _, _ = project_spherical(np.array([[1.0, 1.0, 0.0]]), model)
+    np.testing.assert_allclose(u, [384.0], atol=1e-9)
 
 
 def test_project_spherical_beyond_range_flagged():
     model = SphericalModel(width=64, height=16, r_max=50.0)
-    _, _, _, ok = project_spherical(np.array([60.0, 0, 0]), model)
-    assert not ok
+    _, _, _, ok = project_spherical(np.array([[60.0, 0, 0]]), model)
+    assert not ok[0]
 
 
 def test_project_spherical_zero_norm_rejected():
     model = SphericalModel()
     with pytest.raises(InvalidInputError):
-        project_spherical(np.zeros(3), model)
+        project_spherical(np.zeros((1, 3)), model)
 
 
-@pytest.mark.parametrize("shape", [(0,), (2,), (4,), (5, 2), (5, 3, 1)])
+@pytest.mark.parametrize("shape", [(0,), (2,), (4,), (5, 2), (5, 3, 1), (3,), (3, 5)])
 def test_spherical_projection_rejects_other_shapes_by_name(shape):
+    """Points are (N, 3) rows wherever they are read: a bare (3,) point, a
+    transposed (3, N) cloud or an (N, 2) array fails with one message in
+    both projections, both renderers and the voxel lookup, rather than
+    rendering garbage rows or raising a bare IndexError."""
     model = SphericalModel(width=64, height=16)
+    cam = CameraModel(fx=50, fy=50, cx=32, cy=8, width=64, height=16)
+    pose = Pose(0.0, np.zeros(3), IDENTITY_Q)
     points = np.ones(shape)
-    for project in (project_spherical, render_range_image):
+    for read in (lambda p: project_pinhole(p, cam), lambda p: project_spherical(p, model),
+                 lambda p: render_range_image(p, model),
+                 lambda p: render_virtual_scan(p, pose, model),
+                 VoxelMap(voxel_size=0.5, num_classes=3).rows_for_points):
         with pytest.raises(InvalidInputError,
-                           match=r"shape \(3,\) or \(N, 3\), got " + re.escape(str(shape))):
-            project(points, model)
+                           match=re.escape(f"points must have shape (N, 3), got {shape}")):
+            read(points)
 
 
 def test_render_range_image_takes_one_point():
+    """One point is a (1, 3) array; a bare (3,) point is rejected by name."""
     model = SphericalModel(width=64, height=16)
     d = spherical_ray_directions(model)[8, 32]
-    one, many = render_range_image(5.0 * d, model), render_range_image([5.0 * d], model)
-    np.testing.assert_array_equal(one.cell_index, many.cell_index)
-    np.testing.assert_array_equal(one.xyz, many.xyz)
+    with pytest.raises(InvalidInputError, match=r"shape \(N, 3\), got \(3,\)"):
+        render_range_image(5.0 * d, model)
+    one = render_range_image([5.0 * d], model)
+    assert one.valid.sum() == 1
     assert one.cell_index[8, 32] == 0 and one.range[8, 32] == pytest.approx(5.0)
+    np.testing.assert_array_equal(one.xyz[8, 32], 5.0 * d)
 
 
 def test_spherical_range_is_the_column_sum(rng):
@@ -267,8 +293,8 @@ def test_spherical_range_is_the_column_sum(rng):
     x, y, z = pts.T
     np.testing.assert_array_equal(r, np.sqrt((x * x + y * y) + z * z))
     np.testing.assert_array_max_ulp(r, np.linalg.norm(pts, axis=1), maxulp=1)
-    _, _, r_one, _ = project_spherical(pts[3], model)
-    assert r_one == r[3]
+    _, _, r_one, _ = project_spherical(pts[3:4], model)
+    assert r_one[0] == r[3]
 
 
 def test_spherical_model_rejects_zero_fov():
@@ -282,10 +308,9 @@ def test_spherical_round_trip(yaw, pitch, r):
     model = SphericalModel(width=1024, height=128)
     p = r * np.array([np.cos(pitch) * np.cos(yaw),
                       np.cos(pitch) * np.sin(yaw), np.sin(pitch)])
-    u, v, rr, ok = project_spherical(p, model)
-    assert ok
-    back = unproject_spherical(np.array([u]), np.array([v]), np.array([rr]),
-                               model)
+    u, v, rr, ok = project_spherical(p[None], model)
+    assert ok[0]
+    back = unproject_spherical(u, v, rr, model)
     np.testing.assert_allclose(back[0], p, rtol=1e-9, atol=1e-9)
 
 
@@ -294,8 +319,8 @@ def test_ray_directions_consistent_with_projection():
     dirs = spherical_ray_directions(model)
     for (vi, ui) in [(0, 0), (7, 31), (15, 63)]:
         p = 5.0 * dirs[vi, ui]
-        u, v, _, _ = project_spherical(p, model)
-        np.testing.assert_allclose([u, v], [ui + 0.5, vi + 0.5], atol=1e-9)
+        u, v, _, _ = project_spherical(p[None], model)
+        np.testing.assert_allclose([u[0], v[0]], [ui + 0.5, vi + 0.5], atol=1e-9)
 
 
 # --- range image ------------------------------------------------------------

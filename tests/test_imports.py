@@ -103,3 +103,93 @@ def test_every_definition_is_reached():
     bench = {ref for p in (ROOT / "perfbench").glob("*.py")
              for ref, _ in references(ast.parse(p.read_text()))}
     assert unreached(sources, bench | set(semfuse.__all__) | BASELINE) == []
+
+
+# defaulted parameters that nothing in the package or the benchmark sets
+UNSET_ALLOWED = {
+    # the baseline's own knobs (see BASELINE)
+    "single_overlay_pseudolabels(threshold)", "single_overlay_pseudolabels(scan_id)",
+    "PseudoLabelImage.labeled_fraction(class_subset)",
+    # exported numpy-style array functions keep numpy's axis argument
+    "softmax(axis)", "argmax_class(axis)",
+    # a scene file has one noise section; the fusion-beats-LiDAR acceptance
+    # test needs the two sensors' noise set apart
+    "generate_log(lidar_noise)", "generate_log(camera_noise)",
+}
+
+
+def passed_parameters(trees) -> dict[str, set]:
+    """Per called function or attribute name, the parameter keys its calls
+    pass: ("kw", name) for a keyword, ("pos", i) for the i-th positional
+    argument, and "*" for a call that unpacks `*args` or `**kwargs`."""
+    passed: dict[str, set] = {}
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            keys = passed.setdefault(name, set())
+            for i, arg in enumerate(call.args):
+                keys.add("*" if isinstance(arg, ast.Starred) else ("pos", i))
+            keys.update("*" if kw.arg is None else ("kw", kw.arg) for kw in call.keywords)
+    return passed
+
+
+def unset_defaults(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """Defaulted parameters of the functions and methods of `sources` (file
+    name -> text) that no call in `callers` (module texts) passes, as
+    "function(parameter)" or "Class.method(parameter)". A call is matched
+    by its function or attribute name; a parameter counts as passed by
+    keyword, by a positional argument at or past its index (`self` and
+    `cls` not counted), or by `*`/`**` unpacking. Dunders and click
+    commands are exempt."""
+    passed = passed_parameters(ast.parse(text) for text in callers)
+    out = []
+    for text in sources.values():
+        tree = ast.parse(text)
+        defs = [(node, node.name) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [(m, f"{cls.name}.{m.name}") for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) for m in cls.body
+                 if isinstance(m, ast.FunctionDef)]
+        for node, qualified in defs:
+            if node.name.startswith("__") and node.name.endswith("__") or is_click_command(node):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            if positional and positional[0].arg in ("self", "cls") and "." in qualified:
+                positional = positional[1:]
+            keys = passed.get(node.name, set())
+            defaulted = [(arg, i) for i, arg in enumerate(positional)
+                         if i >= len(positional) - len(a.defaults)]
+            defaulted += [(arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            for arg, i in defaulted:
+                if "*" in keys or ("kw", arg.arg) in keys or (
+                        i is not None and any(k[0] == "pos" and k[1] >= i
+                                              for k in keys if k != "*")):
+                    continue
+                out.append(f"{qualified}({arg.arg})")
+    return out
+
+
+def test_checker_flags_an_unset_default():
+    source = ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n\n"
+              "def g(x=0):\n    pass\n\n\n"
+              "class K:\n    def m(self, y=0, z=1):\n        pass\n\n"
+              "    def __init__(self, w=0):\n        pass\n\n\n"
+              "@main.command()\ndef cmd(v=0):\n    pass\n")
+    calls = "f(0, 1, e=5)\nobj.m(2)\ng(*args)\n"
+    assert unset_defaults({"a.py": source}, [calls]) == [
+        "f(c)", "f(d)", "K.m(z)"]
+    assert unset_defaults({"a.py": source}, [calls + "f(0, 1, 2, d=0)\nK().m(**kw)\n"]) == []
+
+
+def test_every_default_is_set_by_a_caller():
+    """Each defaulted parameter in the package is passed by some call in the
+    package or the benchmark (`perfbench/*.py`); a default only tests set is
+    a constant."""
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    callers = list(sources.values()) + [p.read_text()
+                                        for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert sorted(set(unset_defaults(sources, callers)) - UNSET_ALLOWED) == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semfuse.geometry import CameraModel, Pose, SphericalModel
+from semfuse.geometry import CameraModel, Pose, SphericalModel, invert
 from semfuse.labels import InvalidInputError, softmax
 from semfuse.synth import (MISS, NoiseSpec, Primitive, Scene,
                            classes_to_frame, forward_camera_extrinsic,
@@ -422,8 +422,10 @@ def test_noise_spec_validation():
 
 
 def test_forward_camera_extrinsic_round_trip():
-    ext = forward_camera_extrinsic(offset=(1.0, 2.0, 3.0))
-    # a point 5 m ahead of the mount maps to 4 m ahead along camera +z
-    p = np.array([6.0, 2.0, 3.0, 1.0])
-    local = ext @ p
-    np.testing.assert_allclose(local[:3], [0, 0, 5.0], atol=1e-12)
+    ext = forward_camera_extrinsic()
+    # base forward, left and up are camera +z, -x and -y (optical frame)
+    p = np.array([[5.0, 0.0, 0.0, 1.0], [0.0, 2.0, 0.0, 1.0], [0.0, 0.0, 3.0, 1.0]])
+    local = p @ ext.T
+    np.testing.assert_allclose(local[:, :3], [[0, 0, 5.0], [-2.0, 0, 0], [0, -3.0, 0]],
+                               atol=1e-12)
+    np.testing.assert_allclose(invert(ext) @ local.T, p.T, atol=1e-12)
