@@ -152,7 +152,10 @@ def _write_npz(path, arrays: dict) -> None:
     `np.savez_compressed`: `xyz` barely compresses (about 1.1x) yet costs the
     most to deflate, so it is stored raw; every other entry is deflated at
     level 1, where probabilities and depth still compress 22x or more.
-    Like numpy, appends ".npz" to a path that lacks it."""
+    Each entry is the bytes `np.lib.format.write_array` writes for a
+    C-contiguous array, but its data goes to the archive from the array's
+    own memory, with no chunked copy. Like numpy, appends ".npz" to a path
+    that lacks it."""
     if not hasattr(path, "write"):
         path = os.fspath(path)
         if not path.endswith(".npz"):
@@ -164,9 +167,14 @@ def _write_npz(path, arrays: dict) -> None:
                 entry.compress_type = zipfile.ZIP_STORED
             else:
                 entry = key + ".npy"  # by name, so it takes the archive's level
+            a = np.asanyarray(value)
+            if not a.flags.c_contiguous:
+                a = np.ascontiguousarray(a)
             with zf.open(entry, "w", force_zip64=True) as f:
-                np.lib.format.write_array(f, np.asanyarray(value),
-                                          allow_pickle=False)
+                np.lib.format.write_array_header_1_0(
+                    f, np.lib.format.header_data_from_array_1_0(a))
+                if a.size:
+                    f.write(memoryview(a).cast("B"))
 
 
 @contextmanager
@@ -183,12 +191,12 @@ def _read_npz(path):
         raise ParseError(f"{path}: {e}") from e
 
 
-def _finite(z, name: str, path) -> np.ndarray:
-    """Field `name` as float64, rejected if any value is NaN or infinite."""
+def _finite(z, name: str, path, dtype=np.float64) -> np.ndarray:
+    """Field `name` as `dtype`, rejected if any value is NaN or infinite."""
     a = z[name]
     if not np.isfinite(a).all():
         raise ParseError(f"{path}: non-finite values in '{name}'")
-    return a.astype(np.float64)
+    return a.astype(dtype, copy=False)
 
 
 def save_scan(path, xyz: np.ndarray, intensity: np.ndarray | None,
@@ -229,34 +237,35 @@ def load_scan(path) -> dict:
 
 def save_frame(path, frame: SegmentationFrame, labelset_hash: str = "") -> None:
     data = {
-        "probs": frame.probs.astype(np.float32),
+        "probs": frame.probs.astype(np.float32, copy=False),
         "t": np.float64(frame.timestamp),
         "labelset_hash": np.str_(labelset_hash),
     }
     if frame.depth is not None:
-        data["depth"] = frame.depth.astype(np.float32)
+        data["depth"] = frame.depth.astype(np.float32, copy=False)
     _write_npz(path, data)
 
 
 def load_frame(path) -> tuple[SegmentationFrame, str]:
-    # NaN depth means "no return", so depth is not checked
+    # NaN depth means "no return", so depth is not checked. Probabilities
+    # stay float32, as stored: each consumer widens what it reads.
     with _read_npz(path) as z:
         depth = z["depth"].astype(np.float64) if "depth" in z else None
-        frame = SegmentationFrame(_finite(z, "probs", path), depth=depth,
+        frame = SegmentationFrame(_finite(z, "probs", path, np.float32), depth=depth,
                                   timestamp=float(z["t"]))
         return frame, str(z["labelset_hash"])
 
 
-def save_semantic_cloud(path, cloud, labelset_hash: str = "") -> None:
+def save_semantic_cloud(path, cloud, labelset_hash: str) -> None:
     data = {
-        "xyz": cloud.xyz.astype(np.float32),
-        "probs": cloud.probs.astype(np.float32),
+        "xyz": cloud.xyz.astype(np.float32, copy=False),
+        "probs": cloud.probs.astype(np.float32, copy=False),
         "t": np.float64(cloud.timestamp),
         "frame_id": np.str_(cloud.frame_id),
         "labelset_hash": np.str_(labelset_hash),
     }
     if cloud.intensity is not None:
-        data["intensity"] = cloud.intensity.astype(np.float32)
+        data["intensity"] = cloud.intensity.astype(np.float32, copy=False)
     _write_npz(path, data)
 
 

@@ -16,8 +16,7 @@ from scipy.spatial import cKDTree
 
 from . import labels as lb
 from .geometry import (CameraModel, SphericalModel, Trajectory, apply, lidar_to_camera,
-                       nearest_per_cell, pinhole_rays, project_pinhole,
-                       sample_bilinear)
+                       nearest_per_cell, project_pinhole, sample_bilinear)
 from .labels import InvalidInputError
 
 ALPHA_DYNAMIC = 0.80
@@ -238,8 +237,15 @@ def warp_previous_frame(prev: SegmentationFrame, T_cur_prev: np.ndarray,
     _check_frame(prev, cam)
     H, W = prev.shape
     z = prev.depth
-    ok = np.isfinite(z) & (z > 0)
-    cur = apply(T_cur_prev, pinhole_rays(cam)[ok] * z[ok][:, None])
+    px = np.flatnonzero(np.isfinite(z) & (z > 0))
+    # each pixel's ray ((u - cx) / fx, (v - cy) / fy, 1) times its depth
+    rows, cols = np.divmod(px, W)
+    depth = np.take(z, px)
+    pts = np.empty((len(px), 3))
+    np.multiply(np.take((np.arange(W) - cam.cx) / cam.fx, cols), depth, out=pts[:, 0])
+    np.multiply(np.take((np.arange(H) - cam.cy) / cam.fy, rows), depth, out=pts[:, 1])
+    pts[:, 2] = depth
+    cur = apply(T_cur_prev, pts)
     u, v, valid = project_pinhole(cur, cam)
     ui = np.clip(np.round(u[valid]).astype(int), 0, W - 1)
     vi = np.clip(np.round(v[valid]).astype(int), 0, H - 1)
@@ -247,7 +253,7 @@ def warp_previous_frame(prev: SegmentationFrame, T_cur_prev: np.ndarray,
     # nearest surface wins per target pixel, the latest one among equal depths
     pixels, win = nearest_per_cell(vi * W + ui, depth_new, H * W)
     # only the winners' source rows are gathered
-    src = np.flatnonzero(ok)[valid][win]
+    src = px[valid][win]
     probs = prev.probs.reshape(-1, prev.probs.shape[-1])
     return pixels, np.take(probs, src, axis=0)
 
@@ -276,7 +282,11 @@ def smooth_and_fuse_image(current: SegmentationFrame,
         # blend only the pixels that have a warped source; the rest keep the
         # current frame
         flat = smoothed.reshape(-1, C)
-        blend = alphas * np.take(flat, pixels, axis=0) + (1.0 - alphas) * warped
+        # in place, with the bits of alphas * current + (1 - alphas) * warped
+        blend = np.take(flat, pixels, axis=0)
+        blend *= alphas
+        warped *= 1.0 - alphas
+        blend += warped
         blend /= blend.sum(axis=-1, keepdims=True)
         flat[pixels] = blend
 

@@ -63,9 +63,22 @@ def invert(T: np.ndarray) -> np.ndarray:
     return out
 
 
+# OpenBLAS runs a gemm on the calling thread alone when M*N*K <= 65536 * 4;
+# a larger product wakes a worker thread that then spins on another core
+# after the call returns. An (n, 3) @ (3, 3) block of at most this many rows
+# (29127 * 9 <= 262144) stays on the caller, and each row's product is the
+# same bits as in one whole product.
+APPLY_BLOCK_ROWS = 29_127
+
+
 def apply(T: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Apply a 4x4 transform to one point (3,) or many (N, 3)."""
-    out = np.asarray(points, dtype=np.float64) @ T[:3, :3].T
+    p = np.asarray(points, dtype=np.float64)
+    R = T[:3, :3].T
+    out = np.empty(p.shape)
+    # a (3,) point is one block of its own
+    for i in range(0, len(p), APPLY_BLOCK_ROWS):
+        np.matmul(p[i:i + APPLY_BLOCK_ROWS], R, out=out[i:i + APPLY_BLOCK_ROWS])
     out += T[:3, 3]
     return out
 
@@ -230,11 +243,11 @@ def sample_bilinear(grid: np.ndarray, u, v):
     v0 *= W
     v1 *= W
     gu, gv = 1 - fu, 1 - fv
-    val = np.take(cells, v0 + u0, axis=0)
+    val = np.take(cells, v0 + u0, axis=0).astype(np.float64, copy=False)
     val *= gu
     val *= gv
     for row, col, wu, wv in ((v0, u1, fu, gv), (v1, u0, gu, fv), (v1, u1, fu, fv)):
-        term = np.take(cells, row + col, axis=0)
+        term = np.take(cells, row + col, axis=0).astype(np.float64, copy=False)
         term *= wu
         term *= wv
         val += term

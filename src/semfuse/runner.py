@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,7 +79,8 @@ class RunConfig:
         """A JSON object of RunConfig fields, with the non-None `overrides`
         on top. A file that is not valid JSON, not an object, names an
         unknown key, or gives a value of the wrong type, an unknown horizon
-        or a value out of its range raises ParseError naming the file."""
+        or a value out of its range raises ParseError naming the file; an
+        override out of its range raises InvalidInputError."""
         with open(path) as f:
             try:
                 cfg = json.load(f)
@@ -96,11 +98,13 @@ class RunConfig:
                 raise fileio.ParseError(
                     f"{path}: config key {key!r} must be {want.__name__}, "
                     f"got {type(value).__name__}")
-        cfg.update({k: v for k, v in overrides.items() if v is not None})
         try:
             rc = cls(**cfg)
         except InvalidInputError as e:
             raise fileio.ParseError(f"{path}: {e}") from e
+        # an override out of range raises InvalidInputError without the
+        # file's name: the file is not at fault
+        rc = replace(rc, **{k: v for k, v in overrides.items() if v is not None})
         # relative paths resolve against the config file
         base = os.path.dirname(os.path.abspath(path))
         for name in ("calibration", "trajectory", "scans_dir", "frames_dir",
@@ -249,9 +253,18 @@ def _load_log(cfg: RunConfig):
     return labelset, calib, traj
 
 
+def _float32(a: np.ndarray | None) -> np.ndarray | None:
+    return None if a is None else a.astype(np.float32)
+
+
 def run_fuse(cfg: RunConfig) -> dict:
     """Fuse every scan with its matching camera frame and detections; write
-    world-frame semantic clouds and temporally smoothed fused frames."""
+    world-frame semantic clouds and temporally smoothed fused frames.
+
+    The files are written on one background thread while the next frame or
+    scan is fused, with at most one write pending; a failed write raises
+    here, and nothing after it is written. The writer only compresses and
+    writes: the float32 arrays it saves are made on the calling thread."""
     labelset, calib, traj = _load_log(cfg)
     ls_hash = labelset.config_hash()
     dets = fileio.load_detections(cfg.detections, labelset) if cfg.detections \
@@ -275,37 +288,52 @@ def run_fuse(cfg: RunConfig) -> dict:
     n_clouds = 0
     frame_dets = [[d for t, d in dets if abs(t - frame.timestamp) < 1e-9]
                   for frame in frames]
-    for i, frame in enumerate(frames):
-        cam_pose = traj.interpolate(frame.timestamp).matrix() @ invert(
-            calib.camera.T_cam_base)
-        T_cur_prev = invert(cam_pose) @ prev_cam_pose \
-            if prev_cam_pose is not None else None
-        fused = smooth_and_fuse_image(frame, prev_fused, T_cur_prev,
-                                      calib.camera, frame_dets[i], alphas)
-        fileio.save_frame(os.path.join(fused_frames_dir, f"frame_{i:04d}.npz"),
-                          fused, labelset_hash=ls_hash)
-        prev_fused, prev_cam_pose = fused, cam_pose
+    with ThreadPoolExecutor(max_workers=1) as writer:
+        pending = None
 
-    for path in fileio.list_sorted(cfg.scans_dir, ".npz"):
-        scan = fileio.load_scan(path)
-        fileio.check_hash(ls_hash, scan["labelset_hash"], path)
-        t = scan["t"]
-        j = int(np.argmin(np.abs(frame_times - t))) if len(frames) else -1
-        views = []
-        if j >= 0:
-            views.append(CameraView(calib.camera, frames[j], frame_dets[j]))
-        lidar_probs = None if cfg.camera_only else scan.get("lidar_probs")
-        cloud = fuse_cloud(scan["xyz"], t, lidar_probs, views, traj,
-                           calib.T_base_lidar, calib.lidar_model,
-                           labelset.num_classes, s=cfg.s_factor,
-                           intensity=scan.get("intensity"))
-        world = apply(traj.interpolate(t).matrix() @ calib.T_base_lidar, cloud.xyz)
-        out = SemanticCloud(world, cloud.probs, intensity=cloud.intensity,
-                            frame_id="map", timestamp=t)
-        name = os.path.splitext(os.path.basename(path))[0]
-        fileio.save_semantic_cloud(os.path.join(clouds_dir, f"{name}.npz"),
-                                   out, labelset_hash=ls_hash)
-        n_clouds += 1
+        def write(save, path, data):
+            # `save` is read off `fileio` per write, so that a wrapper set on
+            # the module sees every write
+            nonlocal pending
+            if pending is not None:
+                pending.result()
+            pending = writer.submit(save, path, data, labelset_hash=ls_hash)
+
+        for i, frame in enumerate(frames):
+            cam_pose = traj.interpolate(frame.timestamp).matrix() @ invert(
+                calib.camera.T_cam_base)
+            T_cur_prev = invert(cam_pose) @ prev_cam_pose \
+                if prev_cam_pose is not None else None
+            fused = smooth_and_fuse_image(frame, prev_fused, T_cur_prev,
+                                          calib.camera, frame_dets[i], alphas)
+            write(fileio.save_frame,
+                  os.path.join(fused_frames_dir, f"frame_{i:04d}.npz"),
+                  SegmentationFrame(_float32(fused.probs), depth=_float32(fused.depth),
+                                    timestamp=fused.timestamp))
+            prev_fused, prev_cam_pose = fused, cam_pose
+
+        for path in fileio.list_sorted(cfg.scans_dir, ".npz"):
+            scan = fileio.load_scan(path)
+            fileio.check_hash(ls_hash, scan["labelset_hash"], path)
+            t = scan["t"]
+            j = int(np.argmin(np.abs(frame_times - t))) if len(frames) else -1
+            views = []
+            if j >= 0:
+                views.append(CameraView(calib.camera, frames[j], frame_dets[j]))
+            lidar_probs = None if cfg.camera_only else scan.get("lidar_probs")
+            cloud = fuse_cloud(scan["xyz"], t, lidar_probs, views, traj,
+                               calib.T_base_lidar, calib.lidar_model,
+                               labelset.num_classes, s=cfg.s_factor,
+                               intensity=scan.get("intensity"))
+            world = apply(traj.interpolate(t).matrix() @ calib.T_base_lidar, cloud.xyz)
+            name = os.path.splitext(os.path.basename(path))[0]
+            write(fileio.save_semantic_cloud, os.path.join(clouds_dir, f"{name}.npz"),
+                  SemanticCloud(_float32(world), _float32(cloud.probs),
+                                intensity=_float32(cloud.intensity), frame_id="map",
+                                timestamp=t))
+            n_clouds += 1
+        if pending is not None:
+            pending.result()
     return {"clouds": n_clouds, "frames": len(frames),
             "clouds_dir": clouds_dir, "fused_frames_dir": fused_frames_dir}
 

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from semfuse.geometry import Pose, invert, render_range_image
 from semfuse.labelprop import (generate_pseudolabels, ground_plane_correction,
                                load_training_pair)
 from semfuse.labels import LabelSet
-from semfuse.runner import RunConfig, load_scan_records
+from semfuse.runner import RunConfig, load_scan_records, run_fuse
 from semfuse.voxelmap import VoxelMap
 from tests.conftest import scene_path
 
@@ -240,6 +241,48 @@ def test_config_file_faults_exit_naming_the_file(log_dir, runner, tmp_path, text
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert res.output.startswith(f"error: {bad}: ") and what in res.output
     assert not (tmp_path / "out").exists()
+
+
+
+@pytest.mark.parametrize("args, what", [
+    pytest.param(["pseudolabel", "--window", "-1"], "window must be >= 0, got -1",
+                 id="negative-window"),
+    pytest.param(["fuse", "--alpha-dyn", "0"], "alpha_dyn must be in (0, 1], got 0.0",
+                 id="zero-alpha"),
+])
+def test_bad_flag_is_not_blamed_on_the_config_file(log_dir, runner, tmp_path, args, what):
+    """A flag out of its range over a valid config file fails with one error
+    line that names the value, not the file, before any output is made."""
+    config = os.path.join(log_dir, "config.json")
+    res = runner.invoke(main, args + ["--config", config,
+                                      "--output-dir", str(tmp_path / "out")])
+    assert res.exit_code == 1, res.output
+    assert res.output == f"error: {what}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_fuse_writes_on_a_thread_that_ends_with_the_call(log_dir, tmp_path):
+    before = threading.active_count()
+    cfg = RunConfig.load(os.path.join(log_dir, "config.json"),
+                         output_dir=str(tmp_path / "out"))
+    info = run_fuse(cfg)
+    assert threading.active_count() == before
+    assert len(os.listdir(info["clouds_dir"])) == 3
+    assert len(os.listdir(info["fused_frames_dir"])) == 3
+
+
+def test_fuse_write_failure_raises_and_nothing_later_is_written(log_dir, tmp_path):
+    """A write that fails on the writer thread raises from `run_fuse` with
+    its own type; no later frame or cloud is written, and the thread ends."""
+    out = tmp_path / "out"
+    (out / "fused_frames" / "frame_0001.npz").mkdir(parents=True)
+    cfg = RunConfig.load(os.path.join(log_dir, "config.json"), output_dir=str(out))
+    before = threading.active_count()
+    with pytest.raises(IsADirectoryError):
+        run_fuse(cfg)
+    assert threading.active_count() == before
+    assert sorted(os.listdir(out / "fused_frames")) == ["frame_0000.npz", "frame_0001.npz"]
+    assert os.listdir(out / "clouds") == []
 
 
 def test_eval_nonzero_exit_on_corrupt_map(log_dir, runner, tmp_path):

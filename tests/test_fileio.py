@@ -1,10 +1,11 @@
+import io
 import struct
 import zipfile
 
 import numpy as np
 import pytest
 
-from semfuse.fileio import (Calibration, ParseError, check_hash, list_sorted,
+from semfuse.fileio import (Calibration, ParseError, _write_npz, check_hash, list_sorted,
                             load_calibration, load_detections, load_frame,
                             load_scan, load_semantic_cloud, load_trajectory,
                             save_calibration, save_detections, save_frame,
@@ -182,6 +183,8 @@ def test_frame_round_trip(tmp_path, rng):
     again, h = load_frame(path)
     np.testing.assert_array_equal(again.probs, probs.astype(np.float32))
     np.testing.assert_array_equal(again.depth, depth.astype(np.float32))
+    # probabilities stay float32 as stored; depth widens
+    assert again.probs.dtype == np.float32 and again.depth.dtype == np.float64
     assert again.timestamp == 1.25
     assert h == "abc"
 
@@ -291,6 +294,38 @@ def test_npz_stores_xyz_and_deflates_the_rest(tmp_path, rng, kind):
         methods = {i.filename: i.compress_type for i in zf.infolist()}
     assert methods.pop("xyz.npy", zipfile.ZIP_STORED) == zipfile.ZIP_STORED
     assert methods and set(methods.values()) == {zipfile.ZIP_DEFLATED}
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param(np.linspace(0, 1, 7, dtype=np.float32), id="float32-1d"),
+    pytest.param(np.linspace(-5, 5, 60, dtype=np.float32).reshape(20, 3), id="float32-2d"),
+    pytest.param(np.linspace(0, 1, 120, dtype=np.float32).reshape(4, 5, 6), id="float32-3d"),
+    pytest.param(np.zeros((0, 3), dtype=np.float32), id="float32-empty"),
+    pytest.param(np.arange(-5, 20, dtype=np.int16), id="int16"),
+    pytest.param(np.float64(1.25), id="float64-0d"),
+    pytest.param(np.int64(-7), id="int64-0d"),
+    pytest.param(np.str_("a1b2c3"), id="str"),
+    pytest.param(np.str_(""), id="empty-str"),
+])
+def test_npz_entries_are_numpys_bytes(tmp_path, value):
+    """Each entry, stored or deflated, holds the bytes of
+    `np.lib.format.write_array` and deflates to the same size as them."""
+    path, ref = tmp_path / "a.npz", tmp_path / "ref.npz"
+    _write_npz(path, {"xyz": value, "v": value})
+    stored = zipfile.ZipInfo("xyz.npy")
+    stored.compress_type = zipfile.ZIP_STORED
+    with zipfile.ZipFile(ref, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as zf:
+        for entry in (stored, "v.npy"):
+            with zf.open(entry, "w", force_zip64=True) as f:
+                np.lib.format.write_array(f, np.asanyarray(value), allow_pickle=False)
+    expect = io.BytesIO()
+    np.lib.format.write_array(expect, np.asanyarray(value), allow_pickle=False)
+    with zipfile.ZipFile(path) as got, zipfile.ZipFile(ref) as want:
+        for name in ("xyz.npy", "v.npy"):
+            assert got.read(name) == expect.getvalue()
+            a, b = got.getinfo(name), want.getinfo(name)
+            assert (a.compress_type, a.CRC, a.compress_size) == (
+                b.compress_type, b.CRC, b.compress_size)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -7,8 +7,9 @@ from semfuse.fusion import (ALPHA_DYNAMIC, ALPHA_STATIC, CameraView, Detection,
                             cluster_bbox_points, cluster_tolerance,
                             detection_distribution, fuse_cloud,
                             smooth_and_fuse_image, warp_previous_frame)
-from semfuse.geometry import (CameraModel, Pose, SphericalModel, Trajectory,
-                              lidar_to_camera, project_pinhole, sample_bilinear)
+from semfuse.geometry import (CameraModel, Pose, SphericalModel, Trajectory, apply,
+                              lidar_to_camera, nearest_per_cell, pinhole_rays,
+                              project_pinhole, sample_bilinear)
 from semfuse.labels import InvalidInputError, LabelSet, bayes_fuse
 
 IDENTITY_Q = np.array([1.0, 0, 0, 0])
@@ -402,6 +403,25 @@ def test_fuse_cloud_distributions_normalized(rng):
     np.testing.assert_allclose(cloud.probs.sum(axis=-1), 1.0, atol=1e-6)
 
 
+
+def test_fuse_cloud_float32_frame_equals_its_float64_cast(rng):
+    """Frames load as float32; fusing one gives the bits of fusing its
+    float64 cast, detections included."""
+    C = 6
+    cam = simple_cam()
+    model = SphericalModel(width=64, height=16)
+    xyz = rng.uniform(-3, 3, size=(300, 3)) + [0, 0, 6]
+    lidar = rng.dirichlet(np.ones(C), size=300)
+    probs32 = rng.dirichlet(np.ones(C), size=(80, 100)).astype(np.float32)
+    det = [Detection(2, 0.9, (20, 20, 80, 60))]
+    clouds = [fuse_cloud(xyz, 0.0, lidar,
+                         [CameraView(cam, SegmentationFrame(probs, timestamp=0.0), det)],
+                         static_traj(), np.eye(4), model, C)
+              for probs in (probs32, probs32.astype(np.float64))]
+    assert clouds[0].probs.dtype == np.float64
+    np.testing.assert_array_equal(clouds[0].probs, clouds[1].probs)
+
+
 # --- temporal smoothing -----------------------------------------------------
 
 
@@ -561,6 +581,31 @@ def test_warp_previous_frame_matches_nearest_point_oracle(rng):
     np.testing.assert_array_equal(pixels, np.flatnonzero(expect_mask))
     np.testing.assert_array_equal(warped, expect.reshape(-1, C)[pixels])
     assert ties > 0
+
+
+
+def test_warp_points_equal_pinhole_rays_times_depth(rng):
+    """The warp builds its camera points from per-row and per-column ray
+    factors; its output is that of `pinhole_rays` times depth, bit for bit,
+    under a rotation and fractional intrinsics."""
+    C, H, W = 3, 30, 41
+    cam = CameraModel(fx=37.3, fy=35.9, cx=19.7, cy=14.2, width=W, height=H)
+    depth = rng.uniform(1.0, 9.0, (H, W))
+    depth[rng.random((H, W)) < 0.1] = np.nan
+    depth[0, :5] = 0.0
+    probs = rng.dirichlet(np.ones(C), size=(H, W))
+    T = Pose(0.0, [0.2, -0.1, 0.4], [np.cos(0.1), 0.0, np.sin(0.1), 0.0]).matrix()
+    pixels, warped = warp_previous_frame(frame_of(probs, depth=depth), T, cam)
+
+    ok = np.isfinite(depth) & (depth > 0)
+    cur = apply(T, pinhole_rays(cam)[ok] * depth[ok][:, None])
+    u, v, valid = project_pinhole(cur, cam)
+    cells = (np.clip(np.round(v[valid]).astype(int), 0, H - 1) * W
+             + np.clip(np.round(u[valid]).astype(int), 0, W - 1))
+    expect_pixels, win = nearest_per_cell(cells, cur[valid, 2], H * W)
+    np.testing.assert_array_equal(pixels, expect_pixels)
+    np.testing.assert_array_equal(
+        warped, probs.reshape(-1, C)[np.flatnonzero(ok)[valid][win]])
 
 
 def test_class_alphas_defaults():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semfuse.geometry import (CameraModel, OutOfRangeError, Pose, RangeImage,
-                              SphericalModel, Trajectory, apply, invert,
+from semfuse.geometry import (APPLY_BLOCK_ROWS, CameraModel, OutOfRangeError,
+                              Pose, RangeImage, SphericalModel, Trajectory, apply, invert,
                               lidar_to_camera, nearest_per_cell, pinhole_rays,
                               project_pinhole, project_spherical,
                               render_range_image, render_virtual_scan,
@@ -145,6 +145,23 @@ def test_lidar_to_camera_equal_times_equals_static_composition():
     out = lidar_to_camera(pts, 0.25, 0.25, traj, cam, T_bl)
     expected = apply(T_cb @ T_bl, pts)
     np.testing.assert_array_equal(out, expected)
+
+
+@pytest.mark.parametrize("n", [0, 1, APPLY_BLOCK_ROWS - 1, APPLY_BLOCK_ROWS,
+                               APPLY_BLOCK_ROWS + 1, 3 * APPLY_BLOCK_ROWS + 7])
+def test_apply_in_blocks_equals_one_product(n):
+    """`apply` multiplies in row blocks; the bits equal one whole product."""
+    rng = np.random.default_rng(n)
+    T = Pose(0.0, rng.normal(size=3), np.array([0.5, -0.5, 0.5, 0.5])).matrix()
+    pts = rng.uniform(-60, 60, (n, 3))
+    whole = pts @ T[:3, :3].T
+    whole += T[:3, 3]
+    out = apply(T, pts)
+    assert out.shape == (n, 3) and np.array_equal(out, whole)
+    point = rng.uniform(-60, 60, 3)
+    one = apply(T, point)
+    assert one.shape == (3,)
+    np.testing.assert_array_equal(one, point @ T[:3, :3].T + T[:3, 3])
 
 
 # --- pinhole ----------------------------------------------------------------
