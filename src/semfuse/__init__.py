@@ -2,8 +2,7 @@
 camera, LiDAR, and detection semantics; log-space sparse voxel mapping;
 cross-modal pseudo-label generation; and IoU evaluation."""
 
-from .labels import (LabelSet, argmax_class, bayes_fuse, log_normalize,
-                     logsumexp, softmax)
+from .labels import LabelSet, bayes_fuse, log_normalize, logsumexp, softmax
 from .geometry import (CameraModel, Pose, RangeImage, SphericalModel,
                        Trajectory, project_pinhole, project_spherical,
                        render_virtual_scan)
@@ -18,7 +17,7 @@ from .evaluation import (ConfusionAccumulator, iou_map_vs_map, iou_scan_vs_map)
 __version__ = "0.1.0"
 
 __all__ = [
-    "LabelSet", "argmax_class", "bayes_fuse", "log_normalize", "logsumexp",
+    "LabelSet", "bayes_fuse", "log_normalize", "logsumexp",
     "softmax", "CameraModel", "Pose", "RangeImage", "SphericalModel",
     "Trajectory", "project_pinhole", "project_spherical", "render_virtual_scan",
     "CameraView", "Detection", "SegmentationFrame", "SemanticCloud",

@@ -39,8 +39,8 @@ def load_calibration(path) -> Calibration:
         c = cfg["camera"]
         dist = c.get("distortion")
         if dist is not None and any(abs(d) > 0 for d in dist):
-            raise ParseError(
-                f"{path}: nonzero distortion is not supported; rectify inputs first")
+            raise InvalidInputError(
+                "nonzero distortion is not supported; rectify inputs first")
         cam = CameraModel(
             fx=c["fx"], fy=c["fy"], cx=c["cx"], cy=c["cy"],
             width=int(c["width"]), height=int(c["height"]),
@@ -53,7 +53,7 @@ def load_calibration(path) -> Calibration:
             r_max=l["r_max_m"],
         )
         T_base_lidar = np.array(l["T_base_lidar"], dtype=np.float64).reshape(4, 4)
-    except (KeyError, ValueError, InvalidInputError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"{path}: invalid calibration: {e}") from e
     return Calibration(cam, model, T_base_lidar)
 
@@ -191,12 +191,12 @@ def _read_npz(path):
         raise ParseError(f"{path}: {e}") from e
 
 
-def _finite(z, name: str, path, dtype=np.float64) -> np.ndarray:
-    """Field `name` as `dtype`, rejected if any value is NaN or infinite."""
+def _finite(z, name: str, path) -> np.ndarray:
+    """Field `name` as stored, rejected if any value is NaN or infinite."""
     a = z[name]
     if not np.isfinite(a).all():
         raise ParseError(f"{path}: non-finite values in '{name}'")
-    return a.astype(dtype, copy=False)
+    return a
 
 
 def save_scan(path, xyz: np.ndarray, intensity: np.ndarray | None,
@@ -231,7 +231,7 @@ def load_scan(path) -> dict:
             if name in z:
                 out[name] = _finite(z, name, path)
         if "gt_class" in z:
-            out["gt_class"] = z["gt_class"].astype(np.int64)
+            out["gt_class"] = z["gt_class"]
     return out
 
 
@@ -247,11 +247,10 @@ def save_frame(path, frame: SegmentationFrame, labelset_hash: str = "") -> None:
 
 
 def load_frame(path) -> tuple[SegmentationFrame, str]:
-    # NaN depth means "no return", so depth is not checked. Probabilities
-    # stay float32, as stored: each consumer widens what it reads.
+    # NaN depth means "no return", so depth is not checked
     with _read_npz(path) as z:
-        depth = z["depth"].astype(np.float64) if "depth" in z else None
-        frame = SegmentationFrame(_finite(z, "probs", path, np.float32), depth=depth,
+        depth = z["depth"] if "depth" in z else None
+        frame = SegmentationFrame(_finite(z, "probs", path), depth=depth,
                                   timestamp=float(z["t"]))
         return frame, str(z["labelset_hash"])
 

@@ -178,11 +178,10 @@ def fuse_cloud(xyz: np.ndarray, t_scan: float,
     if lidar_probs is None:
         probs = np.full((n, num_classes), 1.0 / num_classes)
     else:
-        lidar_probs = np.asarray(lidar_probs, dtype=np.float64)
-        if lidar_probs.shape != (n, num_classes):
+        probs = np.array(lidar_probs, dtype=np.float64)
+        if probs.shape != (n, num_classes):
             raise InvalidInputError(
-                f"lidar_probs shape {lidar_probs.shape} != ({n}, {num_classes})")
-        probs = lidar_probs.copy()
+                f"lidar_probs shape {probs.shape} != ({n}, {num_classes})")
 
     cams = []  # per view: the rows inside its image, with their u, v and depth
     for view in views:
@@ -220,6 +219,8 @@ def fuse_cloud(xyz: np.ndarray, t_scan: float,
             out = out[np.argmax(probs[rows[out]], axis=-1) == det.class_index]
             probs[rows[out]] = pre[out]
 
+    if intensity is not None:
+        intensity = np.asarray(intensity, dtype=np.float64)
     return SemanticCloud(xyz, probs, intensity=intensity, timestamp=t_scan)
 
 

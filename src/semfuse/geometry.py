@@ -13,7 +13,7 @@ from .labels import InvalidInputError
 EXTRAPOLATION_LIMIT = 0.1
 
 
-class OutOfRangeError(ValueError):
+class OutOfRangeError(InvalidInputError):
     """Query timestamp outside the trajectory's covered interval."""
 
 
@@ -72,11 +72,11 @@ APPLY_BLOCK_ROWS = 29_127
 
 
 def apply(T: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Apply a 4x4 transform to one point (3,) or many (N, 3)."""
-    p = np.asarray(points, dtype=np.float64)
+    """Apply a 4x4 transform to (N, 3) points; other shapes are rejected by
+    name."""
+    p = _point_rows(points)
     R = T[:3, :3].T
     out = np.empty(p.shape)
-    # a (3,) point is one block of its own
     for i in range(0, len(p), APPLY_BLOCK_ROWS):
         np.matmul(p[i:i + APPLY_BLOCK_ROWS], R, out=out[i:i + APPLY_BLOCK_ROWS])
     out += T[:3, 3]
@@ -220,26 +220,26 @@ def pinhole_rays(cam: CameraModel) -> np.ndarray:
 
 
 def sample_bilinear(grid: np.ndarray, u, v):
-    """Bilinearly sample an (H, W, C) or (H, W) grid at subpixel (u, v).
+    """Bilinearly sample an (H, W, C) grid at subpixel (u, v); a grid of
+    another shape is rejected by name.
 
     Coordinates address cell centers at integer positions; borders clamp.
     """
-    H, W = grid.shape[:2]
+    if grid.ndim != 3:
+        raise InvalidInputError(f"grid must have shape (H, W, C), got {grid.shape}")
+    H, W, C = grid.shape
     uc = np.clip(u, 0.0, W - 1.0)
     vc = np.clip(v, 0.0, H - 1.0)
     u0 = np.floor(uc).astype(int)
     v0 = np.floor(vc).astype(int)
     u1 = np.minimum(u0 + 1, W - 1)
     v1 = np.minimum(v0 + 1, H - 1)
-    fu = uc - u0
-    fv = vc - v0
-    if grid.ndim == 3:
-        fu = fu[..., None]
-        fv = fv[..., None]
-    # one take per corner from the flat (H*W, ...) view is several times
+    fu = (uc - u0)[..., None]
+    fv = (vc - v0)[..., None]
+    # one take per corner from the flat (H*W, C) view is several times
     # faster than 2-D fancy indexing; the terms are formed and summed in place
     # in the order of g00 (1-fu) (1-fv) + g01 fu (1-fv) + g10 (1-fu) fv + g11 fu fv
-    cells = grid.reshape((H * W,) + grid.shape[2:])
+    cells = grid.reshape(H * W, C)
     v0 *= W
     v1 *= W
     gu, gv = 1 - fu, 1 - fv
@@ -376,5 +376,5 @@ def render_virtual_scan(cloud_xyz: np.ndarray, viewpoint: Pose,
                         model: SphericalModel) -> RangeImage:
     """Render (N, 3) world-frame points into a virtual spherical view at
     `viewpoint`."""
-    local = apply(invert(viewpoint.matrix()), _point_rows(cloud_xyz))
+    local = apply(invert(viewpoint.matrix()), cloud_xyz)
     return render_range_image(local, model)

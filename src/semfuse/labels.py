@@ -119,8 +119,16 @@ class LabelSet:
 
     @classmethod
     def load(cls, path) -> "LabelSet":
+        """A label set saved by `save`; a file that is not JSON, lacks a
+        key or breaks a rule of the label set raises InvalidInputError
+        naming it."""
         with open(path) as f:
-            return cls.from_config(json.load(f))
+            try:
+                return cls.from_config(json.load(f))
+            except KeyError as e:
+                raise InvalidInputError(f"{path}: label set has no {e} key") from e
+            except (TypeError, ValueError) as e:
+                raise InvalidInputError(f"{path}: {e}") from e
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -188,11 +196,3 @@ def exp_normalized(Ln: np.ndarray) -> np.ndarray:
     np.exp(Ln, out=Ln)
     Ln /= Ln.sum(axis=-1, keepdims=True)
     return Ln
-
-
-def argmax_class(values: np.ndarray, axis: int = -1) -> np.ndarray | int:
-    """Index of the largest entry; ties break toward the lowest index.
-
-    Works on probability vectors and log states alike (log preserves order).
-    """
-    return np.argmax(values, axis=axis)

@@ -254,7 +254,7 @@ def _load_log(cfg: RunConfig):
 
 
 def _float32(a: np.ndarray | None) -> np.ndarray | None:
-    return None if a is None else a.astype(np.float32)
+    return None if a is None else a.astype(np.float32, copy=False)
 
 
 def run_fuse(cfg: RunConfig) -> dict:
@@ -384,10 +384,14 @@ def _load_map(cfg: RunConfig, labelset: LabelSet, path: str) -> VoxelMap:
 # pseudo-labels
 
 
-def load_scan_records(cfg: RunConfig, calib, traj) -> list[ScanRecord]:
+def load_scan_records(cfg: RunConfig, labelset: LabelSet, calib,
+                      traj) -> list[ScanRecord]:
+    """Every scan of the log, each checked against `labelset`'s hash."""
+    ls_hash = labelset.config_hash()
     records = []
     for path in fileio.list_sorted(cfg.scans_dir, ".npz"):
         scan = fileio.load_scan(path)
+        fileio.check_hash(ls_hash, scan["labelset_hash"], path)
         pose = Pose.from_matrix(
             traj.interpolate(scan["t"]).matrix() @ calib.T_base_lidar, scan["t"])
         records.append(ScanRecord(scan["xyz"], pose, scan["scan_id"],
@@ -400,7 +404,7 @@ def run_pseudolabel(cfg: RunConfig, map_path: str | None = None) -> dict:
     labelset, calib, traj = _load_log(cfg)
     map_path = map_path or os.path.join(cfg.output_dir, "map.svx")
     vmap = _load_map(cfg, labelset, map_path)
-    records = load_scan_records(cfg, calib, traj)
+    records = load_scan_records(cfg, labelset, calib, traj)
     images = generate_pseudolabels(
         vmap, records, labelset, calib.lidar_model,
         policy=ScanWindowPolicy(cfg.window), threshold=cfg.threshold,

@@ -39,36 +39,27 @@ _KEY_MASK = (1 << _KEY_BITS) - 1
 def voxel_keys(xyz: np.ndarray, voxel_size: float) -> np.ndarray:
     """Integer voxel index per (N, 3) point, floor division (not truncation)
     so negative coordinates bin consistently. Other shapes are rejected by
-    name."""
+    name, and so is a NaN or inf coordinate, which has no voxel (the cast
+    would warn and wrap)."""
     scaled = _point_rows(xyz) / voxel_size
-    return _int_keys(np.floor(scaled, out=scaled), integral=True)
-
-
-def _int_keys(index: np.ndarray, integral: bool = False) -> np.ndarray:
-    """Cast float voxel indices to int64. A NaN or inf coordinate has no
-    voxel (the cast would warn and wrap), and a fractional key names none
-    (the cast would truncate toward zero, where `voxel_keys` floors), so
-    both are rejected by name. `integral` skips the fraction check for
-    values already floored."""
-    bad = ~np.isfinite(index)
-    what = "non-finite coordinate xyz"
-    if not integral and not bad.any():
-        bad = index != np.floor(index)
-        what = "non-integral voxel key"
+    bad = ~np.isfinite(scaled)
     if bad.any():
         at = tuple(np.argwhere(bad)[0])
-        raise InvalidInputError(f"{what}{list(map(int, at))} = {index[at]}")
-    return index.astype(np.int64)
+        raise InvalidInputError(
+            f"non-finite coordinate xyz{list(map(int, at))} = {scaled[at]}")
+    return np.floor(scaled, out=scaled).astype(np.int64)
 
 
 def pack_keys(keys: np.ndarray) -> np.ndarray:
+    """One int64 per integer (N, 3) voxel key. Keys of another shape, and
+    float keys, which `voxel_keys` would floor but a cast would truncate,
+    are rejected by name."""
     keys = np.asarray(keys)
-    if keys.shape[-1:] != (3,):
-        raise InvalidInputError(f"voxel keys must have 3 columns, got shape {keys.shape}")
-    flat = keys.reshape(-1, 3)
-    if flat.dtype.kind == "f":
-        flat = _int_keys(flat)
-    flat = flat.astype(np.int64, copy=False)
+    if keys.ndim != 2 or keys.shape[1] != 3:
+        raise InvalidInputError(f"voxel keys must have shape (N, 3), got {keys.shape}")
+    if keys.dtype.kind not in "iu":
+        raise InvalidInputError(f"voxel keys must be integers, got dtype {keys.dtype}")
+    flat = keys.astype(np.int64, copy=False)
     if flat.size and (flat.min() < -_KEY_OFFSET or flat.max() > _KEY_MASK - _KEY_OFFSET):
         raise InvalidInputError("voxel index exceeds the 21-bit packing range")
     # offset fields are non-negative and disjoint, so shift-and-add packs them
@@ -164,7 +155,8 @@ class VoxelMap:
         return unpack_keys(self._row_packed[: self._size])
 
     def rows_for_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Row index per (N, 3) voxel key; -1 where the voxel is absent."""
+        """Row index per integer (N, 3) voxel key; -1 where the voxel is
+        absent."""
         return self._lookup_packed(pack_keys(keys))
 
     def _lookup_packed(self, packed: np.ndarray,

@@ -93,10 +93,11 @@ def test_stability_under_alternating_near_one_hot_updates(tmp_path):
         naive *= p.astype(np.float32)  # deliberately no renormalization
     # the 32-bit probability-space product has lost normalization entirely
     assert float(naive.sum()) == 0.0
-    q = vm.distributions(vm.rows_for_keys(np.zeros((1, 3))))[0]
+    q = vm.distributions(vm.rows_for_keys(np.zeros((1, 3), dtype=np.int64)))[0]
     assert np.all(np.isfinite(q))
     assert abs(q.sum() - 1.0) < 1e-6
-    fin = finite_distributions(vm, np.zeros((1, 3)), tmp_path / "map.svx")[0]
+    fin = finite_distributions(vm, np.zeros((1, 3), dtype=np.int64),
+                               tmp_path / "map.svx")[0]
     assert np.all(np.isfinite(fin))
     assert abs(fin.sum() - 1.0) < 1e-6
     print("PASS stability: 10^4 near-one-hot updates stay normalized; "
@@ -323,7 +324,7 @@ def test_pseudolabel_coverage_and_dynamic_window(tmp_path):
     info = runner.run_map(cfg)
     vmap = VoxelMap.load(info["map"])
     labelset, calib, traj = runner._load_log(cfg)
-    records = runner.load_scan_records(cfg, calib, traj)
+    records = runner.load_scan_records(cfg, labelset, calib, traj)
     images = generate_pseudolabels(vmap, records, labelset, calib.lidar_model)
     static = [i for i in range(labelset.num_classes)
               if i not in labelset.dynamic_indices]

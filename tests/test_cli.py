@@ -244,6 +244,78 @@ def test_config_file_faults_exit_naming_the_file(log_dir, runner, tmp_path, text
 
 
 
+def short_trajectory(log_dir, path):
+    # ends 0.05 s into a log whose scans run on for seconds
+    path.write_text("t,tx,ty,tz,qw,qx,qy,qz\n0,0,0,0,1,0,0,0\n0.05,0,0,0,1,0,0,0\n")
+
+
+def labelset_text(text):
+    return lambda log_dir, path: path.write_text(text)
+
+
+def calibration_edit(edit):
+    def write(log_dir, path):
+        calib = read_json(log_dir, "calibration.json")
+        edit(calib["camera"])
+        path.write_text(json.dumps(calib))
+    return write
+
+
+@pytest.mark.parametrize("field, write, what", [
+    pytest.param("trajectory", short_trajectory, "outside trajectory",
+                 id="trajectory-ends-before-the-scans"),
+    pytest.param("labelset", labelset_text('{"classes": ['), "Expecting",
+                 id="labelset-not-json"),
+    pytest.param("labelset", labelset_text('{"names": ["a", "b"]}'),
+                 "label set has no 'classes' key", id="labelset-without-classes"),
+    pytest.param("calibration", calibration_edit(lambda cam: cam.update(fx="500")),
+                 "invalid calibration", id="calibration-fx-as-string"),
+    pytest.param("calibration",
+                 calibration_edit(lambda cam: cam.update(distortion=[0.1, 0.0])),
+                 "invalid calibration: nonzero distortion", id="calibration-distortion"),
+])
+def test_fuse_input_file_faults_are_one_error_line(log_dir, runner, tmp_path,
+                                                   field, write, what):
+    """A bad trajectory, label set or calibration fails `fuse` with exit 1
+    and one `error:` line, with no traceback; a file at fault is named once."""
+    bad = tmp_path / f"bad_{field}"
+    write(log_dir, bad)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**absolute_config(log_dir, tmp_path / "out"),
+                                  field: str(bad)}))
+    res = runner.invoke(main, ["fuse", "--config", str(config)])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    lines = res.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and what in lines[0]
+    assert "Traceback" not in res.output
+    if field != "trajectory":
+        assert lines[0].count(str(bad)) == 1
+
+
+def test_pseudolabel_refuses_scans_of_another_label_set(log_dir, camonly_dir, runner,
+                                                        tmp_path):
+    """A scan whose label-set hash is not the log's fails `pseudolabel`, as
+    it fails `fuse`, naming the scan."""
+    scans = tmp_path / "scans"
+    scans.mkdir()
+    for path in fileio.list_sorted(os.path.join(log_dir, "scans"), ".npz"):
+        scan = fileio.load_scan(path)
+        fileio.save_scan(scans / os.path.basename(path), scan["xyz"],
+                         scan["intensity"], scan["t"], scan["scan_id"],
+                         lidar_probs=scan["lidar_probs"], gt_class=scan["gt_class"],
+                         labelset_hash="deadbeefdeadbeef")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**absolute_config(log_dir, tmp_path / "out"),
+                                  "scans_dir": str(scans)}))
+    bad = os.path.join(scans, "scan_0000.npz")
+    for args in (["fuse"], ["pseudolabel", "--map", os.path.join(camonly_dir, "map.svx")]):
+        res = runner.invoke(main, args + ["--config", str(config)])
+        assert res.exit_code == 1, (args, res.output)
+        assert res.output.startswith(f"error: {bad}: label-set hash deadbeefdeadbeef")
+    assert not (tmp_path / "out" / "pseudolabels").exists()
+
+
 @pytest.mark.parametrize("args, what", [
     pytest.param(["pseudolabel", "--window", "-1"], "window must be >= 0, got -1",
                  id="negative-window"),
@@ -417,7 +489,8 @@ def test_pseudolabel_ground_correction_matches_library(log_dir, camonly_dir, run
     cfg = RunConfig.load(config)
     labelset = cfg.load_labelset()
     calib = fileio.load_calibration(cfg.calibration)
-    records = load_scan_records(cfg, calib, fileio.load_trajectory(cfg.trajectory))
+    records = load_scan_records(cfg, labelset, calib,
+                                fileio.load_trajectory(cfg.trajectory))
     images = generate_pseudolabels(VoxelMap.load(map_path), records, labelset,
                                    calib.lidar_model)
     reset = 0
@@ -446,7 +519,8 @@ def test_pseudolabel_include_intensity_exports_winning_point_intensity(
 
     cfg = RunConfig.load(config)
     calib = fileio.load_calibration(cfg.calibration)
-    records = load_scan_records(cfg, calib, fileio.load_trajectory(cfg.trajectory))
+    records = load_scan_records(cfg, cfg.load_labelset(), calib,
+                                fileio.load_trajectory(cfg.trajectory))
     for rec in records:
         channels, _, meta = load_training_pair(
             os.path.join(out, "pseudolabels", f"sample_{rec.scan_id:04d}"))

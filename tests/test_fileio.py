@@ -149,10 +149,13 @@ def test_scan_round_trip(tmp_path, rng):
     save_scan(path, xyz, intensity, 2.5, 7, lidar_probs=probs, gt_class=gt,
               labelset_hash="h1")
     out = load_scan(path)
-    np.testing.assert_array_equal(out["xyz"], xyz.astype(np.float32))
-    np.testing.assert_array_equal(out["intensity"], intensity.astype(np.float32))
-    np.testing.assert_array_equal(out["lidar_probs"], probs.astype(np.float32))
-    np.testing.assert_array_equal(out["gt_class"], gt)
+    # arrays load as stored
+    np.testing.assert_array_equal(out["xyz"], xyz.astype(np.float32), strict=True)
+    np.testing.assert_array_equal(out["intensity"], intensity.astype(np.float32),
+                                  strict=True)
+    np.testing.assert_array_equal(out["lidar_probs"], probs.astype(np.float32),
+                                  strict=True)
+    np.testing.assert_array_equal(out["gt_class"], gt.astype(np.int16), strict=True)
     assert out["t"] == 2.5 and out["scan_id"] == 7
     assert out["labelset_hash"] == "h1"
 
@@ -181,10 +184,9 @@ def test_frame_round_trip(tmp_path, rng):
     path = tmp_path / "frame.npz"
     save_frame(path, frame, labelset_hash="abc")
     again, h = load_frame(path)
-    np.testing.assert_array_equal(again.probs, probs.astype(np.float32))
-    np.testing.assert_array_equal(again.depth, depth.astype(np.float32))
-    # probabilities stay float32 as stored; depth widens
-    assert again.probs.dtype == np.float32 and again.depth.dtype == np.float64
+    # arrays load as stored
+    np.testing.assert_array_equal(again.probs, probs.astype(np.float32), strict=True)
+    np.testing.assert_array_equal(again.depth, depth.astype(np.float32), strict=True)
     assert again.timestamp == 1.25
     assert h == "abc"
 
@@ -203,12 +205,16 @@ def test_frame_without_depth(tmp_path, rng):
 def test_semantic_cloud_round_trip(tmp_path, rng):
     xyz = rng.uniform(-5, 5, (50, 3))
     probs = rng.dirichlet(np.ones(6), 50)
-    cloud = SemanticCloud(xyz, probs, frame_id="map", timestamp=3.0)
+    intensity = rng.random(50)
+    cloud = SemanticCloud(xyz, probs, intensity=intensity, frame_id="map", timestamp=3.0)
     path = tmp_path / "cloud.npz"
     save_semantic_cloud(path, cloud, labelset_hash="xyz")
     again, h = load_semantic_cloud(path)
-    np.testing.assert_array_equal(again.xyz, xyz.astype(np.float32))
-    np.testing.assert_array_equal(again.probs, probs.astype(np.float32))
+    # arrays load as stored
+    np.testing.assert_array_equal(again.xyz, xyz.astype(np.float32), strict=True)
+    np.testing.assert_array_equal(again.probs, probs.astype(np.float32), strict=True)
+    np.testing.assert_array_equal(again.intensity, intensity.astype(np.float32),
+                                  strict=True)
     assert again.frame_id == "map" and again.timestamp == 3.0
     assert h == "xyz"
 

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from semfuse.evaluation import (CameraFrustum, ConfusionAccumulator,
+                                accumulate_scan_vs_map)
 from semfuse.fusion import (ALPHA_DYNAMIC, ALPHA_STATIC, CameraView, Detection,
-                            SegmentationFrame, class_alphas,
+                            SegmentationFrame, SemanticCloud, class_alphas,
                             cluster_bbox_points, cluster_tolerance,
                             detection_distribution, fuse_cloud,
                             smooth_and_fuse_image, warp_previous_frame)
 from semfuse.geometry import (CameraModel, Pose, SphericalModel, Trajectory, apply,
                               lidar_to_camera, nearest_per_cell, pinhole_rays,
-                              project_pinhole, sample_bilinear)
+                              project_pinhole, render_range_image, sample_bilinear)
 from semfuse.labels import InvalidInputError, LabelSet, bayes_fuse
+from semfuse.voxelmap import VoxelMap
 
 IDENTITY_Q = np.array([1.0, 0, 0, 0])
 
@@ -404,22 +407,89 @@ def test_fuse_cloud_distributions_normalized(rng):
 
 
 
-def test_fuse_cloud_float32_frame_equals_its_float64_cast(rng):
-    """Frames load as float32; fusing one gives the bits of fusing its
-    float64 cast, detections included."""
-    C = 6
-    cam = simple_cam()
-    model = SphericalModel(width=64, height=16)
-    xyz = rng.uniform(-3, 3, size=(300, 3)) + [0, 0, 6]
-    lidar = rng.dirichlet(np.ones(C), size=300)
-    probs32 = rng.dirichlet(np.ones(C), size=(80, 100)).astype(np.float32)
-    det = [Detection(2, 0.9, (20, 20, 80, 60))]
-    clouds = [fuse_cloud(xyz, 0.0, lidar,
-                         [CameraView(cam, SegmentationFrame(probs, timestamp=0.0), det)],
-                         static_traj(), np.eye(4), model, C)
-              for probs in (probs32, probs32.astype(np.float64))]
-    assert clouds[0].probs.dtype == np.float64
-    np.testing.assert_array_equal(clouds[0].probs, clouds[1].probs)
+def fuse_cloud_case(field):
+    """fuse_cloud, detections included, with `cast` applied to one input:
+    the cloud's xyz, lidar_probs or intensity, or the frame's probs."""
+    def run(cast, rng):
+        C = 6
+        inputs = {"xyz": rng.uniform(-3, 3, size=(300, 3)) + [0, 0, 6],
+                  "lidar_probs": rng.dirichlet(np.ones(C), size=300),
+                  "intensity": rng.random(300),
+                  "frame": rng.dirichlet(np.ones(C), size=(80, 100))}
+        inputs[field] = cast(inputs[field])
+        view = CameraView(simple_cam(), SegmentationFrame(inputs["frame"]),
+                          [Detection(2, 0.9, (20, 20, 80, 60))])
+        cloud = fuse_cloud(inputs["xyz"], 0.0, inputs["lidar_probs"], [view],
+                           static_traj(), np.eye(4), SphericalModel(width=64, height=16),
+                           C, intensity=inputs["intensity"])
+        return cloud.xyz, cloud.probs, cloud.intensity
+    return run
+
+
+def integrate_scan_case(cast, rng):
+    vm = VoxelMap(voxel_size=0.5, num_classes=4, n_horizon=2)
+    for scan_id in range(3):
+        xyz = rng.uniform(-2, 2, (200, 3))
+        vm.integrate_scan(SemanticCloud(cast(xyz), cast(rng.dirichlet(np.ones(4), 200))),
+                          scan_id)
+    out = vm.export_cloud()
+    return vm.keys_array, out.xyz, out.probs, vm.per_class_voxel_counts("finite")
+
+
+def accumulate_scan_vs_map_case(cast, rng):
+    """Through the camera frustum, as `eval --camera-fov` compares."""
+    labelset = LabelSet.default()
+    C = labelset.num_classes
+    xyz = rng.uniform(-4, 4, (400, 3)) + [0, 0, 6]
+    ref = VoxelMap(voxel_size=0.5, num_classes=C)
+    ref.integrate_scan(SemanticCloud(xyz, rng.dirichlet(np.ones(C), 400)), 0)
+    acc = ConfusionAccumulator(C)
+    cloud = SemanticCloud(cast(xyz + rng.normal(0, 0.2, xyz.shape)),
+                          cast(rng.dirichlet(np.ones(C), 400)))
+    frustum = CameraFrustum(simple_cam(), Pose(0.0, np.zeros(3), IDENTITY_Q))
+    accumulate_scan_vs_map(acc, cloud, ref, labelset, frustum)
+    return acc.tp, acc.fp, acc.fn
+
+
+def smooth_and_fuse_image_case(cast, rng):
+    """`cast` applies to depth, which the warp of the previous frame reads."""
+    C, H, W = 3, 30, 40
+    depth = rng.uniform(1.0, 9.0, (H, W))
+    depth[rng.random((H, W)) < 0.1] = np.nan
+    prev = SegmentationFrame(rng.dirichlet(np.ones(C), (H, W)), depth=cast(depth))
+    cur = SegmentationFrame(rng.dirichlet(np.ones(C), (H, W)), depth=cast(depth))
+    T = Pose(0.0, [0.2, -0.1, 0.4], [np.cos(0.1), 0.0, np.sin(0.1), 0.0]).matrix()
+    out = smooth_and_fuse_image(cur, prev, T, simple_cam(W, H, 40.0),
+                                [Detection(1, 0.8, (5, 5, 20, 15))],
+                                np.array([0.8, 0.25, 0.25]))
+    return (out.probs,)
+
+
+def render_range_image_case(cast, rng):
+    img = render_range_image(cast(rng.uniform(-20, 20, (2000, 3))),
+                             SphericalModel(width=64, height=16))
+    return img.range, img.xyz, img.cell_index
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(fuse_cloud_case("frame"), id="fuse_cloud-frame"),
+    pytest.param(fuse_cloud_case("xyz"), id="fuse_cloud-xyz"),
+    pytest.param(fuse_cloud_case("lidar_probs"), id="fuse_cloud-lidar_probs"),
+    pytest.param(fuse_cloud_case("intensity"), id="fuse_cloud-intensity"),
+    pytest.param(integrate_scan_case, id="integrate_scan"),
+    pytest.param(accumulate_scan_vs_map_case, id="accumulate_scan_vs_map"),
+    pytest.param(smooth_and_fuse_image_case, id="smooth_and_fuse_image-depth"),
+    pytest.param(render_range_image_case, id="render_range_image"),
+])
+def test_float32_input_equals_its_float64_cast(case):
+    """Arrays load as stored (float32), and each compute entry point widens
+    what it reads: a float32 input gives the bits of its float64 cast, dtype
+    and shape included."""
+    got = case(lambda a: a.astype(np.float32), np.random.default_rng(0))
+    want = case(lambda a: a.astype(np.float32).astype(np.float64),
+                np.random.default_rng(0))
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 # --- temporal smoothing -----------------------------------------------------

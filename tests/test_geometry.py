@@ -158,10 +158,15 @@ def test_apply_in_blocks_equals_one_product(n):
     whole += T[:3, 3]
     out = apply(T, pts)
     assert out.shape == (n, 3) and np.array_equal(out, whole)
-    point = rng.uniform(-60, 60, 3)
-    one = apply(T, point)
-    assert one.shape == (3,)
-    np.testing.assert_array_equal(one, point @ T[:3, :3].T + T[:3, 3])
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 2), (2, 3, 3)])
+def test_apply_rejects_points_of_another_shape_by_name(shape):
+    """One point is a (1, 3) array; a bare (3,) point is rejected like any
+    other shape."""
+    with pytest.raises(InvalidInputError, match=r"shape \(N, 3\), got " + re.escape(str(shape))):
+        apply(np.eye(4), np.zeros(shape))
+    np.testing.assert_array_equal(apply(np.eye(4), np.ones((1, 3))), np.ones((1, 3)))
 
 
 # --- pinhole ----------------------------------------------------------------
@@ -209,29 +214,37 @@ def test_camera_model_rejects_bad_intrinsics():
 
 
 def test_bilinear_integer_exact():
-    grid = np.arange(12, dtype=float).reshape(3, 4)
+    grid = np.arange(24, dtype=float).reshape(3, 4, 2)
     val = sample_bilinear(grid, np.array([2.0]), np.array([1.0]))
-    assert val[0] == grid[1, 2]
+    assert val.shape == (1, 2) and (val[0] == grid[1, 2]).all()
 
 
 def test_bilinear_midpoint_average():
-    grid = np.zeros((2, 2))
+    grid = np.zeros((2, 2, 1))
     grid[1, 1] = 4.0
     val = sample_bilinear(grid, np.array([0.5]), np.array([0.5]))
-    np.testing.assert_allclose(val, [1.0], atol=1e-12)
+    np.testing.assert_allclose(val, [[1.0]], atol=1e-12)
 
 
 def test_bilinear_fractional_blend():
-    grid = np.array([[0.0, 8.0]])
+    grid = np.array([[[0.0], [8.0]]])
     val = sample_bilinear(grid, np.array([0.25]), np.array([0.0]))
-    np.testing.assert_allclose(val, [2.0], atol=1e-12)
+    np.testing.assert_allclose(val, [[2.0]], atol=1e-12)
 
 
 def test_bilinear_border_clamp_and_bounds():
-    grid = np.array([[1.0, 2.0]])
+    grid = np.array([[[1.0], [2.0]]])
     # inside the grid's border cell and beyond it, u clamps to the edge
     val = sample_bilinear(grid, np.array([-0.4, -0.6, 1.6]), np.array([0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(val, [1.0, 1.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(val, [[1.0], [1.0], [2.0]], atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (3, 4, 2, 1)])
+def test_bilinear_rejects_a_grid_of_another_shape_by_name(shape):
+    """Grids are (H, W, C): one channel is (H, W, 1)."""
+    with pytest.raises(InvalidInputError,
+                       match=r"grid must have shape \(H, W, C\), got " + re.escape(str(shape))):
+        sample_bilinear(np.zeros(shape), np.array([0.0]), np.array([0.0]))
 
 
 # --- spherical --------------------------------------------------------------

@@ -111,7 +111,7 @@ UNSET_ALLOWED = {
     "single_overlay_pseudolabels(threshold)", "single_overlay_pseudolabels(scan_id)",
     "PseudoLabelImage.labeled_fraction(class_subset)",
     # exported numpy-style array functions keep numpy's axis argument
-    "softmax(axis)", "argmax_class(axis)",
+    "softmax(axis)",
     # a scene file has one noise section; the fusion-beats-LiDAR acceptance
     # test needs the two sensors' noise set apart
     "generate_log(lidar_noise)", "generate_log(camera_noise)",

@@ -222,15 +222,12 @@ def test_points_of_another_width_are_rejected_before_scan_id_moves(shape):
              lambda: vm.rows_for_points(bad),
              lambda: vm.rows_for_points(bad, among=np.array([0])),
              lambda: vm.lookup_points(bad),
-             lambda: vm.integrate_scan(SemanticCloud(bad, np.full((len(bad), 3), 1 / 3)), 1)]
+             lambda: vm.integrate_scan(SemanticCloud(bad, np.full((len(bad), 3), 1 / 3)), 1),
+             lambda: pack_keys(np.zeros(shape, dtype=np.int64)),
+             lambda: vm.rows_for_keys(np.zeros(shape, dtype=np.int64))]
     for call in calls:
         with pytest.raises(InvalidInputError, match=r"shape \(N, 3\), got " + re.escape(str(shape))):
             call()
-    if shape[-1] != 3:
-        for call in (lambda: pack_keys(np.zeros(shape, dtype=np.int64)),
-                     lambda: vm.rows_for_keys(np.zeros(shape, dtype=np.int64))):
-            with pytest.raises(InvalidInputError, match="3 columns"):
-                call()
     assert vm.last_scan_id == 0 and len(vm) == 1
     vm.integrate_scan(cloud([[1.5, 0.5, 0.5]], [one_hot(1, 3)]), 1)
     assert vm.last_scan_id == 1 and len(vm) == 2
@@ -391,7 +388,7 @@ def test_scan_merge_edge_cases_match_input_order_oracle(kind, rng):
                            (vm._n_points[rows], counts)):
         assert stored.tobytes() == expect.tobytes()
     if kind == "negative_zero":
-        lone = vm.rows_for_keys(np.zeros((1, 3)))[0]
+        lone = vm.rows_for_keys(np.zeros((1, 3), dtype=np.int64))[0]
         assert vm._n_points[lone] == 1
         assert not np.signbit(vm._pos_sum[lone]).any()
 
@@ -447,10 +444,8 @@ def test_non_finite_query_is_rejected_by_name(value):
     vm = VoxelMap(voxel_size=1.0, num_classes=3)
     vm.integrate_scan(cloud([[0.5, 0.5, 0.5]], [one_hot(0, 3)]), 0)
     point = np.array([[0.5, 0.5, 0.5], [0.5, value, 0.5]])
-    key = (0, value, 0)
     calls = [lambda: vm.lookup_points(point),
-             lambda: vm.rows_for_points(point),
-             lambda: vm.rows_for_keys(np.array([key]))]
+             lambda: vm.rows_for_points(point)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in calls:
@@ -458,30 +453,24 @@ def test_non_finite_query_is_rejected_by_name(value):
                 call()
 
 
-@pytest.mark.parametrize("key", [(-0.5, 0, 0), (0.9, 0.2, 0.7), (0, 0, 1e-9)])
+@pytest.mark.parametrize("key", [(-0.5, 0, 0), (1.0, -1.0, 0.0), (0, np.nan, 0)])
 def test_non_integral_key_is_rejected_by_name(key):
-    """A fractional key names no voxel: truncating it toward zero would
-    answer voxel (0, 0, 0) for (-0.5, 0, 0), which `lookup_points` (flooring
-    the point) rightly places in voxel -1."""
-    vm = VoxelMap(voxel_size=1.0, num_classes=3)
-    vm.integrate_scan(cloud([[0.5, 0.5, 0.5]], [one_hot(0, 3)]), 0)
-    calls = [lambda: pack_keys(np.array([key])),
-             lambda: vm.rows_for_keys(np.array([key])),
-             lambda: vm.rows_for_keys(np.array([(0, 0, 0), key]))]
-    for call in calls:
-        with pytest.raises(InvalidInputError, match="non-integral voxel key"):
-            call()
-    _, found = vm.lookup_points(np.array([[-0.5, 0.5, 0.5]]))
-    assert not found[0]
-
-
-def test_integral_float_keys_are_accepted():
+    """Keys are of an integer dtype: a fractional float key names no voxel
+    (truncating (-0.5, 0, 0) toward zero would answer voxel (0, 0, 0), which
+    `lookup_points`, flooring the point, rightly places in voxel -1), and
+    float keys of integral value such as 1.0 are refused like any other.
+    The same key as integers is found."""
     vm = VoxelMap(voxel_size=1.0, num_classes=3)
     vm.integrate_scan(cloud([[1.5, -0.5, 0.5]], [one_hot(0, 3)]), 0)
-    keys = np.array([[1.0, -1.0, 0.0], [1.0, -1.0, -0.0], [2.0, 0.0, 0.0]])
-    assert vm.rows_for_keys(keys).tolist() == [0, 0, -1]
-    np.testing.assert_array_equal(pack_keys(np.array([[1.0, -1.0, 0.0]])),
-                                  pack_keys(np.array([[1, -1, 0]])))
+    calls = [lambda: pack_keys(np.array([key])),
+             lambda: vm.rows_for_keys(np.array([key])),
+             lambda: vm.rows_for_keys(np.array([(1, -1, 0), key]))]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="keys must be integers, got dtype float64"):
+            call()
+    assert vm.rows_for_keys(np.array([[1, -1, 0], [0, 0, 0]])).tolist() == [0, -1]
+    _, found = vm.lookup_points(np.array([[-0.5, 0.5, 0.5]]))
+    assert not found[0]
 
 
 def test_rows_for_points_hits_misses_and_empty():
