@@ -453,7 +453,8 @@ def test_non_finite_query_is_rejected_by_name(value):
                 call()
 
 
-@pytest.mark.parametrize("key", [(-0.5, 0, 0), (1.0, -1.0, 0.0), (0, np.nan, 0)])
+@pytest.mark.parametrize("key", [(-0.5, 0, 0), (0.9, 0.2, 0.7), (0, np.nan, 0),
+                                 pytest.param((1.0, -1.0, 0.0), id="integral-float")])
 def test_non_integral_key_is_rejected_by_name(key):
     """Keys are of an integer dtype: a fractional float key names no voxel
     (truncating (-0.5, 0, 0) toward zero would answer voxel (0, 0, 0), which
