@@ -10,8 +10,7 @@ import sys
 import click
 
 from . import runner
-from .evaluation import ConfigurationError, format_report, write_json_report
-from .fileio import ParseError
+from .evaluation import format_report, write_json_report
 from .labelprop import MAP_PROVENANCES
 from .labels import InvalidInputError
 
@@ -29,7 +28,7 @@ def _reported(command):
     def run(*args, **kwargs):
         try:
             command(*args, **kwargs)
-        except (ParseError, InvalidInputError, ConfigurationError, OSError) as e:
+        except (InvalidInputError, OSError) as e:
             click.echo(f"error: {e}", err=True)
             sys.exit(1)
     return run

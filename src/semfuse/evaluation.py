@@ -8,12 +8,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import CameraModel, Pose, apply, invert, project_pinhole
-from .labels import LabelSet
+from .labels import InvalidInputError, LabelSet
 from .voxelmap import VoxelMap
 
 
-class ConfigurationError(ValueError):
-    """Mismatched label sets, voxel sizes, or hashes between inputs."""
+class ConfigurationError(InvalidInputError):
+    """Inputs that do not fit together: class counts, voxel sizes or options."""
 
 
 @dataclass

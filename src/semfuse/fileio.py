@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion import Detection, SegmentationFrame, SemanticCloud
-from .geometry import CameraModel, Pose, SphericalModel, Trajectory
+from .geometry import CameraModel, Pose, SphericalModel, Trajectory, check_finite, invert
 from .labels import InvalidInputError
 
 
-class ParseError(ValueError):
+class ParseError(InvalidInputError):
     """Input file failed to parse or validate; message carries file context."""
 
 
@@ -28,6 +28,31 @@ class Calibration:
     lidar_model: SphericalModel
     T_base_lidar: np.ndarray
 
+    def __post_init__(self):
+        check_finite("lidar", T_base_lidar=self.T_base_lidar)
+
+    def world_T_lidar(self, traj: Trajectory, t: float) -> np.ndarray:
+        """The LiDAR's pose in the world at time `t`."""
+        return traj.interpolate(t).matrix() @ self.T_base_lidar
+
+    def world_T_cam(self, traj: Trajectory, t: float) -> np.ndarray:
+        """The camera's (optical frame) pose in the world at time `t`."""
+        return traj.interpolate(t).matrix() @ invert(self.camera.T_cam_base)
+
+
+def sensor_calibration(block: dict, T_cam_base, T_base_lidar) -> Calibration:
+    """The rig of a sensor block, a calibration file's or a scene's
+    `sensors`, with the given extrinsics; a missing key raises KeyError."""
+    c, l = block["camera"], block["lidar"]
+    cam = CameraModel(fx=c["fx"], fy=c["fy"], cx=c["cx"], cy=c["cy"],
+                      width=int(c["width"]), height=int(c["height"]),
+                      T_cam_base=T_cam_base)
+    model = SphericalModel(width=int(l["w"]), height=int(l["h"]),
+                           f_up=np.deg2rad(l["f_up_deg"]),
+                           f_down=np.deg2rad(l["f_down_deg"]),
+                           r_max=l["r_max_m"])
+    return Calibration(cam, model, T_base_lidar)
+
 
 def load_calibration(path) -> Calibration:
     try:
@@ -36,26 +61,15 @@ def load_calibration(path) -> Calibration:
     except (OSError, json.JSONDecodeError) as e:
         raise ParseError(f"{path}: {e}") from e
     try:
-        c = cfg["camera"]
-        dist = c.get("distortion")
+        dist = cfg["camera"].get("distortion")
         if dist is not None and any(abs(d) > 0 for d in dist):
             raise InvalidInputError(
                 "nonzero distortion is not supported; rectify inputs first")
-        cam = CameraModel(
-            fx=c["fx"], fy=c["fy"], cx=c["cx"], cy=c["cy"],
-            width=int(c["width"]), height=int(c["height"]),
-            T_cam_base=np.array(c["T_cam_base"], dtype=np.float64).reshape(4, 4),
-        )
-        l = cfg["lidar"]
-        model = SphericalModel(
-            width=int(l["w"]), height=int(l["h"]),
-            f_up=np.deg2rad(l["f_up_deg"]), f_down=np.deg2rad(l["f_down_deg"]),
-            r_max=l["r_max_m"],
-        )
-        T_base_lidar = np.array(l["T_base_lidar"], dtype=np.float64).reshape(4, 4)
+        return sensor_calibration(
+            cfg, np.array(cfg["camera"]["T_cam_base"], dtype=np.float64).reshape(4, 4),
+            np.array(cfg["lidar"]["T_base_lidar"], dtype=np.float64).reshape(4, 4))
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"{path}: invalid calibration: {e}") from e
-    return Calibration(cam, model, T_base_lidar)
 
 
 def save_calibration(calib: Calibration, path) -> None:
@@ -192,9 +206,10 @@ def _read_npz(path):
 
 
 def _finite(z, name: str, path) -> np.ndarray:
-    """Field `name` as stored, rejected if any value is NaN or infinite."""
+    """Field `name` as stored; a float field is rejected if any value is NaN
+    or infinite."""
     a = z[name]
-    if not np.isfinite(a).all():
+    if a.dtype.kind == "f" and not np.isfinite(a).all():
         raise ParseError(f"{path}: non-finite values in '{name}'")
     return a
 
@@ -219,20 +234,25 @@ def save_scan(path, xyz: np.ndarray, intensity: np.ndarray | None,
     _write_npz(path, data)
 
 
-def load_scan(path) -> dict:
+def _load_scan(path, optional: tuple[str, ...]) -> dict:
+    """A scan's points, time, id and label-set hash, and each field of
+    `optional` that it holds; the other fields stay unread."""
     with _read_npz(path) as z:
-        out = {
-            "xyz": _finite(z, "xyz", path),
-            "t": float(z["t"]),
-            "scan_id": int(z["scan_id"]),
-            "labelset_hash": str(z["labelset_hash"]),
-        }
-        for name in ("intensity", "lidar_probs"):
+        out = {"xyz": _finite(z, "xyz", path), "t": float(z["t"]),
+               "scan_id": int(z["scan_id"]), "labelset_hash": str(z["labelset_hash"])}
+        for name in optional:
             if name in z:
                 out[name] = _finite(z, name, path)
-        if "gt_class" in z:
-            out["gt_class"] = z["gt_class"]
     return out
+
+
+def load_scan(path) -> dict:
+    return _load_scan(path, ("intensity", "lidar_probs", "gt_class"))
+
+
+def load_scan_points(path) -> dict:
+    """`load_scan` without `lidar_probs` and `gt_class`, which stay unread."""
+    return _load_scan(path, ("intensity",))
 
 
 def save_frame(path, frame: SegmentationFrame, labelset_hash: str = "") -> None:

@@ -15,8 +15,9 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from . import labels as lb
-from .geometry import (CameraModel, SphericalModel, Trajectory, apply, lidar_to_camera,
-                       nearest_per_cell, project_pinhole, sample_bilinear)
+from .geometry import (CameraModel, SphericalModel, Trajectory, apply, check_finite,
+                       lidar_to_camera, nearest_per_cell, project_pinhole,
+                       sample_bilinear)
 from .labels import InvalidInputError
 
 ALPHA_DYNAMIC = 0.80
@@ -174,6 +175,7 @@ def fuse_cloud(xyz: np.ndarray, t_scan: float,
     Points outside every camera keep their LiDAR distribution unchanged.
     """
     xyz = np.asarray(xyz, dtype=np.float64)
+    check_finite("cloud", xyz=xyz)
     n = len(xyz)
     if lidar_probs is None:
         probs = np.full((n, num_classes), 1.0 / num_classes)
@@ -182,6 +184,7 @@ def fuse_cloud(xyz: np.ndarray, t_scan: float,
         if probs.shape != (n, num_classes):
             raise InvalidInputError(
                 f"lidar_probs shape {probs.shape} != ({n}, {num_classes})")
+        check_finite("cloud", lidar_probs=probs)
 
     cams = []  # per view: the rows inside its image, with their u, v and depth
     for view in views:

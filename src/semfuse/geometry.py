@@ -17,6 +17,14 @@ class OutOfRangeError(InvalidInputError):
     """Query timestamp outside the trajectory's covered interval."""
 
 
+def check_finite(what: str, **values) -> None:
+    """Raise InvalidInputError naming the first of `values` that holds a NaN
+    or infinite entry."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise InvalidInputError(f"{what} {name} must be finite")
+
+
 def quat_wxyz_to_rotation(q: np.ndarray) -> Rotation:
     q = np.asarray(q, dtype=np.float64)
     return Rotation.from_quat([q[1], q[2], q[3], q[0]])
@@ -38,6 +46,7 @@ class Pose:
     def __post_init__(self):
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=np.float64))
         q = np.asarray(self.rotation, dtype=np.float64)
+        check_finite("pose", t=self.t, translation=self.translation, rotation=q)
         n = np.linalg.norm(q)
         if abs(n - 1.0) > 1e-6:
             raise InvalidInputError(f"quaternion norm {n} != 1")
@@ -152,9 +161,11 @@ class CameraModel:
     T_cam_base: np.ndarray = field(default_factory=lambda: np.eye(4))
 
     def __post_init__(self):
+        object.__setattr__(self, "T_cam_base", np.asarray(self.T_cam_base, dtype=np.float64))
+        check_finite("camera", fx=self.fx, fy=self.fy, cx=self.cx, cy=self.cy,
+                     width=self.width, height=self.height, T_cam_base=self.T_cam_base)
         if self.fx <= 0 or self.fy <= 0 or self.width <= 0 or self.height <= 0:
             raise InvalidInputError("camera intrinsics must be positive")
-        object.__setattr__(self, "T_cam_base", np.asarray(self.T_cam_base, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -168,6 +179,7 @@ class SphericalModel:
     r_max: float = 50.0
 
     def __post_init__(self):
+        check_finite("lidar", f_up=self.f_up, f_down=self.f_down, r_max=self.r_max)
         if abs(self.f_up) + abs(self.f_down) <= 0:
             raise InvalidInputError("vertical FoV must be positive")
 

@@ -22,6 +22,7 @@ from .voxelmap import VoxelMap
 
 UNLABELED = 255
 DEFAULT_CONFIDENCE = 0.80
+DEFAULT_WINDOW = 2
 # what `generate_pseudolabels` renders from; "single_overlay" names the
 # map-free labels of `single_overlay_pseudolabels`
 MAP_PROVENANCES = ("camonly_map", "fused_map")
@@ -52,7 +53,7 @@ class ScanWindowPolicy:
     """Dynamic-class points are projected only from scans within +/- window
     of the target scan, to avoid motion smear."""
 
-    window: int = 2
+    window: int = DEFAULT_WINDOW
 
     def __post_init__(self):
         if self.window < 0:
@@ -119,8 +120,7 @@ def generate_pseudolabels(vmap: VoxelMap, scans: list[ScanRecord],
         raise InvalidInputError(
             f"provenance {provenance!r} is not a map provenance {MAP_PROVENANCES}")
     policy = policy or ScanWindowPolicy()
-    dynamic = np.zeros(labelset.num_classes, dtype=bool)
-    dynamic[list(labelset.dynamic_indices)] = True
+    dynamic = np.array(labelset.dynamic_mask, dtype=bool)
 
     if len(vmap) == 0:
         warnings.warn("empty map: pseudo-labels are all unlabeled", stacklevel=2)

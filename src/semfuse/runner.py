@@ -19,17 +19,19 @@ from . import fileio
 from .evaluation import (CameraFrustum, ConfigurationError, ConfusionAccumulator,
                          IoUResult, accumulate_scan_vs_map, iou_map_vs_map,
                          iou_scan_vs_map)
-from .fusion import (CameraView, SegmentationFrame, SemanticCloud, class_alphas,
+from .fusion import (ALPHA_DYNAMIC, ALPHA_STATIC, DEFAULT_CLUSTER_FACTOR,
+                     CameraView, SegmentationFrame, SemanticCloud, class_alphas,
                      fuse_cloud, smooth_and_fuse_image)
 from .geometry import (CameraModel, Pose, SphericalModel, Trajectory, apply,
                        invert, render_range_image)
-from .labelprop import (ScanRecord, ScanWindowPolicy, export_training_pair,
+from .labelprop import (DEFAULT_CONFIDENCE, DEFAULT_WINDOW, ScanRecord,
+                        ScanWindowPolicy, export_training_pair,
                         generate_pseudolabels, ground_plane_correction)
 from .labels import InvalidInputError, LabelSet, softmax
 from .synth import (NoiseSpec, forward_camera_extrinsic, load_scene,
                     observed_probs, simulate_detections, simulate_scan,
                     simulate_segmentation)
-from .voxelmap import VoxelMap
+from .voxelmap import DEFAULT_VOXEL_SIZE, VoxelMap
 
 
 # the JSON value types a config field takes, by the type of its default; a
@@ -49,14 +51,14 @@ class RunConfig:
     labelset: str = ""
     output_dir: str = "out"
     camera_only: bool = False
-    voxel_size: float = 0.25
+    voxel_size: float = DEFAULT_VOXEL_SIZE
     n_horizon: int = 10
     horizon: str = "infinite"
-    threshold: float = 0.80
-    window: int = 2
-    alpha_dyn: float = 0.80
-    alpha_stat: float = 0.25
-    s_factor: float = 1.5
+    threshold: float = DEFAULT_CONFIDENCE
+    window: int = DEFAULT_WINDOW
+    alpha_dyn: float = ALPHA_DYNAMIC
+    alpha_stat: float = ALPHA_STATIC
+    s_factor: float = DEFAULT_CLUSTER_FACTOR
     provenance: str = "camonly_map"
     ground_correction: bool = False
     include_intensity: bool = False
@@ -142,17 +144,8 @@ def generate_log(scene_path: str, out_dir: str, seed: int = 0,
         lidar_noise = lidar_noise or noise_cfg
         camera_noise = camera_noise or noise_cfg
 
-        sensors = spec["sensors"]
-        lid = sensors["lidar"]
-        model = SphericalModel(width=lid["w"], height=lid["h"],
-                               f_up=np.deg2rad(lid["f_up_deg"]),
-                               f_down=np.deg2rad(lid["f_down_deg"]),
-                               r_max=lid["r_max_m"])
-        camc = sensors["camera"]
-        cam = CameraModel(fx=camc["fx"], fy=camc["fy"], cx=camc["cx"], cy=camc["cy"],
-                          width=camc["width"], height=camc["height"],
-                          T_cam_base=forward_camera_extrinsic())
-        T_base_lidar = np.eye(4)
+        calib = fileio.sensor_calibration(spec["sensors"], forward_camera_extrinsic(),
+                                          np.eye(4))
 
         tspec = spec["trajectory"]
         n = tspec["n_scans"] if n_scans is None else n_scans
@@ -183,19 +176,17 @@ def generate_log(scene_path: str, out_dir: str, seed: int = 0,
     os.makedirs(frames_dir, exist_ok=True)
     ls_hash = labelset.config_hash()
     labelset.save(os.path.join(out_dir, "labelset.json"))
-    fileio.save_calibration(
-        fileio.Calibration(cam, model, T_base_lidar),
-        os.path.join(out_dir, "calibration.json"))
+    fileio.save_calibration(calib, os.path.join(out_dir, "calibration.json"))
     fileio.save_trajectory(traj, os.path.join(out_dir, "trajectory.csv"))
 
-    gt_map = VoxelMap(voxel_size=0.25, num_classes=labelset.num_classes,
-                      labelset_hash=ls_hash)
+    gt_map = VoxelMap(num_classes=labelset.num_classes, labelset_hash=ls_hash)
     detections = []
     C = labelset.num_classes
     for i in range(n):
         t = i * dt
+        # the synthetic rig's LiDAR sits at the base (T_base_lidar = I)
         pose = traj.interpolate(t)
-        img, gt_grid = simulate_scan(scene, pose, model, lidar_noise, t, rng)
+        img, gt_grid = simulate_scan(scene, pose, calib.lidar_model, lidar_noise, t, rng)
         valid = img.valid
         # quantize like the scan files so the ground-truth map sees exactly
         # the coordinates the pipeline will reload
@@ -207,18 +198,17 @@ def generate_log(scene_path: str, out_dir: str, seed: int = 0,
                          xyz, intensity, t, i, lidar_probs=lidar_probs,
                          gt_class=gt_cls, labelset_hash=ls_hash)
 
-        world_xyz = apply(pose.matrix() @ T_base_lidar, xyz
+        world_xyz = apply(calib.world_T_lidar(traj, t), xyz
                           ).astype(np.float32).astype(np.float64)
         one_hot = np.zeros((len(gt_cls), C))
         one_hot[np.arange(len(gt_cls)), gt_cls] = 1.0
         gt_map.integrate_scan(SemanticCloud(world_xyz, one_hot, timestamp=t), i)
 
-        pose_cam = Pose.from_matrix(
-            pose.matrix() @ invert(cam.T_cam_base), t)
-        frame, _ = simulate_segmentation(scene, pose_cam, cam, camera_noise, t, rng)
+        pose_cam = Pose.from_matrix(calib.world_T_cam(traj, t), t)
+        frame, _ = simulate_segmentation(scene, pose_cam, calib.camera, camera_noise, t, rng)
         fileio.save_frame(os.path.join(frames_dir, f"frame_{i:04d}.npz"),
                           frame, labelset_hash=ls_hash)
-        for det in simulate_detections(scene, pose_cam, cam, camera_noise, t, rng):
+        for det in simulate_detections(scene, pose_cam, calib.camera, camera_noise, t, rng):
             detections.append((t, det))
 
     fileio.save_detections(detections, labelset,
@@ -253,6 +243,17 @@ def _load_log(cfg: RunConfig):
     return labelset, calib, traj
 
 
+def _checked(load, directory: str, ls_hash: str):
+    """(path, item) per `.npz` file of `directory` in name order, as `load`
+    reads it, its label-set hash checked against `ls_hash`. Scans load as
+    dicts that carry their hash; frames and clouds as (item, hash)."""
+    for path in fileio.list_sorted(directory, ".npz"):
+        item = load(path)
+        item, found = (item, item["labelset_hash"]) if isinstance(item, dict) else item
+        fileio.check_hash(ls_hash, found, path)
+        yield path, item
+
+
 def _float32(a: np.ndarray | None) -> np.ndarray | None:
     return None if a is None else a.astype(np.float32, copy=False)
 
@@ -269,12 +270,7 @@ def run_fuse(cfg: RunConfig) -> dict:
     ls_hash = labelset.config_hash()
     dets = fileio.load_detections(cfg.detections, labelset) if cfg.detections \
         and os.path.exists(cfg.detections) else []
-    frame_paths = fileio.list_sorted(cfg.frames_dir, ".npz")
-    frames = []
-    for p in frame_paths:
-        frame, h = fileio.load_frame(p)
-        fileio.check_hash(ls_hash, h, p)
-        frames.append(frame)
+    frames = [f for _, f in _checked(fileio.load_frame, cfg.frames_dir, ls_hash)]
     frame_times = np.array([f.timestamp for f in frames])
 
     clouds_dir = os.path.join(cfg.output_dir, "clouds")
@@ -300,8 +296,7 @@ def run_fuse(cfg: RunConfig) -> dict:
             pending = writer.submit(save, path, data, labelset_hash=ls_hash)
 
         for i, frame in enumerate(frames):
-            cam_pose = traj.interpolate(frame.timestamp).matrix() @ invert(
-                calib.camera.T_cam_base)
+            cam_pose = calib.world_T_cam(traj, frame.timestamp)
             T_cur_prev = invert(cam_pose) @ prev_cam_pose \
                 if prev_cam_pose is not None else None
             fused = smooth_and_fuse_image(frame, prev_fused, T_cur_prev,
@@ -312,20 +307,19 @@ def run_fuse(cfg: RunConfig) -> dict:
                                     timestamp=fused.timestamp))
             prev_fused, prev_cam_pose = fused, cam_pose
 
-        for path in fileio.list_sorted(cfg.scans_dir, ".npz"):
-            scan = fileio.load_scan(path)
-            fileio.check_hash(ls_hash, scan["labelset_hash"], path)
+        # camera-only fusion leaves the LiDAR prior unread
+        load = fileio.load_scan_points if cfg.camera_only else fileio.load_scan
+        for path, scan in _checked(load, cfg.scans_dir, ls_hash):
             t = scan["t"]
             j = int(np.argmin(np.abs(frame_times - t))) if len(frames) else -1
             views = []
             if j >= 0:
                 views.append(CameraView(calib.camera, frames[j], frame_dets[j]))
-            lidar_probs = None if cfg.camera_only else scan.get("lidar_probs")
-            cloud = fuse_cloud(scan["xyz"], t, lidar_probs, views, traj,
+            cloud = fuse_cloud(scan["xyz"], t, scan.get("lidar_probs"), views, traj,
                                calib.T_base_lidar, calib.lidar_model,
                                labelset.num_classes, s=cfg.s_factor,
                                intensity=scan.get("intensity"))
-            world = apply(traj.interpolate(t).matrix() @ calib.T_base_lidar, cloud.xyz)
+            world = apply(calib.world_T_lidar(traj, t), cloud.xyz)
             name = os.path.splitext(os.path.basename(path))[0]
             write(fileio.save_semantic_cloud, os.path.join(clouds_dir, f"{name}.npz"),
                   SemanticCloud(_float32(world), _float32(cloud.probs),
@@ -351,13 +345,9 @@ def run_map(cfg: RunConfig, clouds_dir: str | None = None,
     n_horizon = cfg.n_horizon if cfg.horizon == "finite" else None
     vmap = VoxelMap(voxel_size=cfg.voxel_size, num_classes=labelset.num_classes,
                     n_horizon=n_horizon, labelset_hash=ls_hash)
-    entries = []
-    for path in fileio.list_sorted(clouds_dir, ".npz"):
-        cloud, h = fileio.load_semantic_cloud(path)
-        fileio.check_hash(ls_hash, h, path)
-        entries.append((cloud.timestamp, path, cloud))
-    entries.sort(key=lambda e: e[0])
-    for scan_id, (_, _, cloud) in enumerate(entries):
+    clouds = sorted((c for _, c in _checked(fileio.load_semantic_cloud, clouds_dir, ls_hash)),
+                    key=lambda c: c.timestamp)
+    for scan_id, cloud in enumerate(clouds):
         vmap.integrate_scan(cloud, scan_id)
     os.makedirs(cfg.output_dir, exist_ok=True)
     map_path = map_path or os.path.join(cfg.output_dir, "map.svx")
@@ -371,12 +361,10 @@ def run_map(cfg: RunConfig, clouds_dir: str | None = None,
     }
 
 
-def _load_map(cfg: RunConfig, labelset: LabelSet, path: str) -> VoxelMap:
+def _load_map(labelset: LabelSet, path: str) -> VoxelMap:
     """A map snapshot whose label set, where it names one, is `labelset`."""
     vmap = VoxelMap.load(path)
-    if vmap.labelset_hash and vmap.labelset_hash != labelset.config_hash():
-        raise ConfigurationError(
-            f"{path}: label-set hash mismatch with {cfg.labelset or 'default'}")
+    fileio.check_hash(labelset.config_hash(), vmap.labelset_hash, path)
     return vmap
 
 
@@ -387,23 +375,18 @@ def _load_map(cfg: RunConfig, labelset: LabelSet, path: str) -> VoxelMap:
 def load_scan_records(cfg: RunConfig, labelset: LabelSet, calib,
                       traj) -> list[ScanRecord]:
     """Every scan of the log, each checked against `labelset`'s hash."""
-    ls_hash = labelset.config_hash()
-    records = []
-    for path in fileio.list_sorted(cfg.scans_dir, ".npz"):
-        scan = fileio.load_scan(path)
-        fileio.check_hash(ls_hash, scan["labelset_hash"], path)
-        pose = Pose.from_matrix(
-            traj.interpolate(scan["t"]).matrix() @ calib.T_base_lidar, scan["t"])
-        records.append(ScanRecord(scan["xyz"], pose, scan["scan_id"],
-                                  intensity=scan.get("intensity"),
-                                  timestamp=scan["t"]))
-    return records
+    return [ScanRecord(scan["xyz"],
+                       Pose.from_matrix(calib.world_T_lidar(traj, scan["t"]), scan["t"]),
+                       scan["scan_id"], intensity=scan.get("intensity"),
+                       timestamp=scan["t"])
+            for _, scan in _checked(fileio.load_scan_points, cfg.scans_dir,
+                                    labelset.config_hash())]
 
 
 def run_pseudolabel(cfg: RunConfig, map_path: str | None = None) -> dict:
     labelset, calib, traj = _load_log(cfg)
     map_path = map_path or os.path.join(cfg.output_dir, "map.svx")
-    vmap = _load_map(cfg, labelset, map_path)
+    vmap = _load_map(labelset, map_path)
     records = load_scan_records(cfg, labelset, calib, traj)
     images = generate_pseudolabels(
         vmap, records, labelset, calib.lidar_model,
@@ -438,27 +421,22 @@ def run_eval(cfg: RunConfig, pred: str, reference: str,
     reference map snapshot."""
     if camera_fov and not os.path.isdir(pred):
         raise ConfigurationError("--camera-fov applies to cloud predictions only")
-    labelset = cfg.load_labelset()
-    ref_map = _load_map(cfg, labelset, reference)
-    if os.path.isdir(pred):
-        clouds = []
-        for path in fileio.list_sorted(pred, ".npz"):
-            cloud, h = fileio.load_semantic_cloud(path)
-            fileio.check_hash(labelset.config_hash(), h, path)
-            clouds.append(cloud)
-        if camera_fov:
-            calib = fileio.load_calibration(cfg.calibration)
-            traj = fileio.load_trajectory(cfg.trajectory)
-            acc = ConfusionAccumulator(ref_map.num_classes)
-            for cloud in clouds:
-                pose_cam = Pose.from_matrix(
-                    traj.interpolate(cloud.timestamp).matrix()
-                    @ invert(calib.camera.T_cam_base), cloud.timestamp)
-                frustum = CameraFrustum(calib.camera, pose_cam)
-                accumulate_scan_vs_map(acc, cloud, ref_map, labelset, frustum)
-            return IoUResult(acc.iou(), labelset, restricted_fov=True)
-        return iou_scan_vs_map(clouds, ref_map, labelset)
-    return iou_map_vs_map(_load_map(cfg, labelset, pred), ref_map, labelset)
+    # only the frustum reads the rig
+    labelset, calib, traj = _load_log(cfg) if camera_fov else (cfg.load_labelset(), None, None)
+    ref_map = _load_map(labelset, reference)
+    if not os.path.isdir(pred):
+        return iou_map_vs_map(_load_map(labelset, pred), ref_map, labelset)
+    clouds = (c for _, c in _checked(fileio.load_semantic_cloud, pred,
+                                     labelset.config_hash()))
+    if not camera_fov:
+        return iou_scan_vs_map(list(clouds), ref_map, labelset)
+    acc = ConfusionAccumulator(ref_map.num_classes)
+    for cloud in clouds:
+        pose_cam = Pose.from_matrix(calib.world_T_cam(traj, cloud.timestamp),
+                                    cloud.timestamp)
+        accumulate_scan_vs_map(acc, cloud, ref_map, labelset,
+                               CameraFrustum(calib.camera, pose_cam))
+    return IoUResult(acc.iou(), labelset, restricted_fov=True)
 
 
 # ---------------------------------------------------------------------------

@@ -244,17 +244,12 @@ def load_scene(path, labelset: LabelSet | None = None):
 
 
 def simulate_scan(scene: Scene, pose: Pose, model: SphericalModel,
-                  noise: NoiseSpec | None = None, t: float | None = None,
-                  rng: np.random.Generator | None = None):
+                  noise: NoiseSpec, t: float, rng: np.random.Generator):
     """Ray-cast a spherical scan from `pose` (world_T_sensor).
 
     Returns (RangeImage, ground-truth class grid). Ranges carry Gaussian
     noise; the ground truth stays noise-free.
     """
-    noise = noise or NoiseSpec()
-    rng = rng or np.random.default_rng(0)
-    if t is None:
-        t = pose.t
     H, W = model.height, model.width
     dirs_local = spherical_ray_directions(model).reshape(-1, 3)
     R = pose.matrix()[:3, :3]
@@ -300,17 +295,12 @@ def classes_to_frame(gt: np.ndarray, num_classes: int, noise: NoiseSpec,
 
 
 def simulate_segmentation(scene: Scene, pose_cam: Pose, cam: CameraModel,
-                          noise: NoiseSpec | None = None, t: float | None = None,
-                          rng: np.random.Generator | None = None):
+                          noise: NoiseSpec, t: float, rng: np.random.Generator):
     """Per-pixel segmentation from ray-casting through the camera.
 
     pose_cam is world_T_cam (optical frame). Returns (SegmentationFrame with
     depth, ground-truth class grid).
     """
-    noise = noise or NoiseSpec()
-    rng = rng or np.random.default_rng(0)
-    if t is None:
-        t = pose_cam.t
     H, W = cam.height, cam.width
     d_cam = pinhole_rays(cam).reshape(-1, 3)
     norms = np.linalg.norm(d_cam, axis=-1, keepdims=True)
@@ -330,14 +320,10 @@ def simulate_segmentation(scene: Scene, pose_cam: Pose, cam: CameraModel,
 
 
 def simulate_detections(scene: Scene, pose_cam: Pose, cam: CameraModel,
-                        noise: NoiseSpec | None = None, t: float | None = None,
-                        rng: np.random.Generator | None = None) -> list[Detection]:
+                        noise: NoiseSpec, t: float,
+                        rng: np.random.Generator) -> list[Detection]:
     """One RGB bounding box per visible dynamic-class primitive (projected
     silhouette AABB), plus configurable misses and false positives."""
-    noise = noise or NoiseSpec()
-    rng = rng or np.random.default_rng(0)
-    if t is None:
-        t = pose_cam.t
     dynamic = set(scene.labelset.dynamic_indices)
     T_cam_world = np.linalg.inv(pose_cam.matrix())
     dets: list[Detection] = []

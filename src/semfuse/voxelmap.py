@@ -29,6 +29,8 @@ _OLD_SNAPSHOT_MAGIC = b"SFVX"
 # bound keeps a corrupt snapshot header from sizing a map of absurd width
 _MAX_SNAPSHOT_CLASSES = 255
 
+DEFAULT_VOXEL_SIZE = 0.25
+
 # voxel indices are packed into one int64 (21 bits per axis) so hashing and
 # grouping stay on flat integer arrays
 _KEY_BITS = 21
@@ -108,7 +110,7 @@ class VoxelMap:
     # finite horizon adds its ring arrays to its own copy of this tuple.
     _PER_VOXEL = ("_row_packed", "_L_inf", "_pos_sum", "_n_points")
 
-    def __init__(self, voxel_size: float = 0.25, num_classes: int = 15,
+    def __init__(self, voxel_size: float = DEFAULT_VOXEL_SIZE, num_classes: int = 15,
                  n_horizon: int | None = None, labelset_hash: str = ""):
         if not (math.isfinite(voxel_size) and voxel_size > 0):
             raise InvalidInputError(
@@ -332,13 +334,11 @@ class VoxelMap:
         keys instead of the whole map's."""
         return self._lookup_packed(pack_keys(voxel_keys(xyz, self.voxel_size)), among)
 
-    def voxel_classes(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """Class of each row in `rows` (default: every row, in row order):
-        the argmax of the voxel's distribution, not of its log state, since
-        near-ties can resolve differently after exp. Every row's class is
-        computed once per map state, by the first call."""
-        if rows is None:
-            return self._row_classes().copy()
+    def voxel_classes(self, rows: np.ndarray) -> np.ndarray:
+        """Class of each row in `rows`: the argmax of the voxel's
+        distribution, not of its log state, since near-ties can resolve
+        differently after exp. Every row's class is computed once per map
+        state, by the first call."""
         return np.take(self._row_classes(), rows)
 
     def lookup_points(self, xyz: np.ndarray):

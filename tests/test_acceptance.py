@@ -134,12 +134,15 @@ def test_cluster_tolerance_value_and_person_wall_clustering():
     labelset, scene, model, cam, pose, pose_cam = _person_wall_setup()
     person = labelset.index("person")
     building = labelset.index("building")
-    img, gt_grid = simulate_scan(scene, pose, model)
+    img, gt_grid = simulate_scan(scene, pose, model, NoiseSpec(), pose.t,
+                                 np.random.default_rng(0))
     valid = img.valid
     xyz = img.xyz[valid]
     gt = gt_grid[valid]
-    frame, _ = simulate_segmentation(scene, pose_cam, cam)
-    dets = simulate_detections(scene, pose_cam, cam)
+    frame, _ = simulate_segmentation(scene, pose_cam, cam, NoiseSpec(), pose_cam.t,
+                                     np.random.default_rng(0))
+    dets = simulate_detections(scene, pose_cam, cam, NoiseSpec(), pose_cam.t,
+                               np.random.default_rng(0))
     assert len(dets) == 1 and dets[0].class_index == person
     det = dets[0]
 
@@ -223,7 +226,8 @@ def test_smoothing_moving_person_lags_at_most_one_frame():
     frames, gt_masks = [], []
     for k in range(10):
         t = 0.5 * k
-        frame, gt = simulate_segmentation(scene, pose_cam, cam, t=t)
+        frame, gt = simulate_segmentation(scene, pose_cam, cam, NoiseSpec(), t,
+                                          np.random.default_rng(0))
         frames.append(frame)
         gt_masks.append(gt == person)
 

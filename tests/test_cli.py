@@ -293,6 +293,39 @@ def test_fuse_input_file_faults_are_one_error_line(log_dir, runner, tmp_path,
         assert lines[0].count(str(bad)) == 1
 
 
+def nan_trajectory(log_dir, path):
+    # tx of the t=0.5 row; extrapolation to scan 0 would carry it into a cloud
+    lines = pathlib.Path(log_dir, "trajectory.csv").read_text().splitlines()
+    t, _, *rest = lines[2].split(",")
+    assert t == "0.5"
+    lines[2] = ",".join([t, "nan", *rest])
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("field, write, what", [
+    pytest.param("trajectory", nan_trajectory, ":3: pose translation must be finite",
+                 id="trajectory-nan-translation"),
+    pytest.param("calibration", calibration_edit(lambda cam: cam.update(fx=float("nan"))),
+                 ": invalid calibration: camera fx must be finite",
+                 id="calibration-nan-fx"),
+])
+def test_fuse_refuses_non_finite_rig_values(log_dir, runner, tmp_path, field, write, what):
+    """A NaN in the trajectory or the calibration fails `fuse` with one error
+    line naming the file, before any output is made: it would otherwise
+    reach every cloud, or drop the camera without a word."""
+    bad = tmp_path / f"bad_{field}"
+    write(log_dir, bad)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**absolute_config(log_dir, tmp_path / "out"),
+                                  field: str(bad)}))
+    res = runner.invoke(main, ["fuse", "--config", str(config)])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.splitlines() == [res.output.strip()]
+    assert res.output.startswith(f"error: {bad}{what}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_pseudolabel_refuses_scans_of_another_label_set(log_dir, camonly_dir, runner,
                                                         tmp_path):
     """A scan whose label-set hash is not the log's fails `pseudolabel`, as
@@ -397,7 +430,7 @@ def test_eval_rejects_map_of_another_label_set(log_dir, runner, tmp_path):
                  ["--pred", gt_path, "--ref", str(bad)]):
         res = runner.invoke(main, ["eval", "--config", config] + args)
         assert res.exit_code == 1
-        assert res.output.startswith(f"error: {bad}: label-set hash mismatch")
+        assert res.output.startswith(f"error: {bad}: label-set hash deadbeefdeadbeef does not match")
 
 
 def test_pseudolabel_refuses_single_overlay_provenance(log_dir, runner, tmp_path):

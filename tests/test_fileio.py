@@ -1,4 +1,5 @@
 import io
+import json
 import struct
 import zipfile
 
@@ -7,11 +8,13 @@ import pytest
 
 from semfuse.fileio import (Calibration, ParseError, _write_npz, check_hash, list_sorted,
                             load_calibration, load_detections, load_frame,
-                            load_scan, load_semantic_cloud, load_trajectory,
+                            load_scan, load_scan_points, load_semantic_cloud,
+                            load_trajectory,
                             save_calibration, save_detections, save_frame,
                             save_scan, save_semantic_cloud, save_trajectory)
 from semfuse.fusion import Detection, SegmentationFrame, SemanticCloud
-from semfuse.geometry import CameraModel, Pose, SphericalModel, Trajectory
+from semfuse.geometry import CameraModel, Pose, SphericalModel, Trajectory, invert
+from semfuse.labels import InvalidInputError
 
 IDENTITY_Q = np.array([1.0, 0, 0, 0])
 
@@ -81,6 +84,48 @@ def test_calibration_bad_json(tmp_path):
 # --- trajectory --------------------------------------------------------------
 
 
+@pytest.mark.parametrize("t", [1.0, 1.3], ids=["at-a-knot", "between-knots"])
+def test_rig_poses_are_the_explicit_compositions(t):
+    """world_T_lidar and world_T_cam are the base pose composed with the
+    LiDAR extrinsic resp. the inverted camera extrinsic, bit for bit."""
+    T_cam_base = np.array([[0.0, -1, 0, 0.1], [0, 0, -1, 0.2], [1, 0, 0, -0.3],
+                           [0, 0, 0, 1]])
+    T_base_lidar = np.eye(4)
+    T_base_lidar[:3, 3] = [0.5, 0.0, 1.2]
+    calib = Calibration(CameraModel(fx=160.0, fy=160.0, cx=100.0, cy=75.0, width=200,
+                                    height=150, T_cam_base=T_cam_base),
+                        SphericalModel(), T_base_lidar)
+    half = np.deg2rad(20.0)
+    traj = Trajectory([Pose(0.0, np.zeros(3), IDENTITY_Q),
+                       Pose(1.0, np.array([2.0, 1, 0]), IDENTITY_Q),
+                       Pose(2.0, np.array([4.0, 1, 0.5]),
+                            np.array([np.cos(half), 0, 0, np.sin(half)]))])
+    base = traj.interpolate(t).matrix()
+    np.testing.assert_array_equal(calib.world_T_lidar(traj, t), base @ T_base_lidar)
+    np.testing.assert_array_equal(calib.world_T_cam(traj, t), base @ invert(T_cam_base))
+
+
+def test_calibration_rejects_non_finite_lidar_extrinsic():
+    calib = sample_calibration()
+    T = np.eye(4)
+    T[2, 3] = np.nan
+    with pytest.raises(InvalidInputError, match="lidar T_base_lidar must be finite"):
+        Calibration(calib.camera, calib.lidar_model, T)
+
+
+@pytest.mark.parametrize("section, key", [("camera", "fx"), ("camera", "cy"),
+                                          ("lidar", "f_up_deg"), ("lidar", "r_max_m")])
+def test_calibration_file_with_a_nan_value_names_file_and_key(tmp_path, section, key):
+    path = tmp_path / "calib.json"
+    save_calibration(sample_calibration(), path)
+    cfg = json.loads(path.read_text())
+    cfg[section][key] = float("nan")
+    path.write_text(json.dumps(cfg))
+    field = {"f_up_deg": "f_up", "r_max_m": "r_max"}.get(key, key)
+    with pytest.raises(ParseError, match=f"{path}: invalid calibration: .*{field} must be finite"):
+        load_calibration(path)
+
+
 def test_trajectory_round_trip(tmp_path):
     traj = Trajectory([Pose(0.0, np.array([1.0, 2, 3]), IDENTITY_Q),
                        Pose(1.0, np.array([2.0, 2, 3]), IDENTITY_Q)])
@@ -103,6 +148,13 @@ def test_trajectory_rejects_bad_row_with_line_number(tmp_path):
     path = tmp_path / "traj.csv"
     path.write_text("t,tx,ty,tz,qw,qx,qy,qz\n0,0,0,0,1,0,0,0\n1,oops,0,0,1,0,0,0\n")
     with pytest.raises(ParseError, match=":3:"):
+        load_trajectory(path)
+
+
+def test_trajectory_rejects_a_nan_value_naming_the_line(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text("t,tx,ty,tz,qw,qx,qy,qz\n0,0,0,0,1,0,0,0\n0.5,nan,0,0,1,0,0,0\n")
+    with pytest.raises(ParseError, match=":3: pose translation must be finite"):
         load_trajectory(path)
 
 
@@ -158,6 +210,17 @@ def test_scan_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(out["gt_class"], gt.astype(np.int16), strict=True)
     assert out["t"] == 2.5 and out["scan_id"] == 7
     assert out["labelset_hash"] == "h1"
+
+
+def test_scan_points_leave_the_label_fields_unread(tmp_path, rng):
+    path = tmp_path / "scan.npz"
+    save_scan(path, rng.uniform(-10, 10, (50, 3)), rng.random(50), 2.5, 7,
+              lidar_probs=rng.dirichlet(np.ones(5), 50),
+              gt_class=rng.integers(0, 5, 50), labelset_hash="h1")
+    full, points = load_scan(path), load_scan_points(path)
+    assert set(full) - set(points) == {"lidar_probs", "gt_class"}
+    for name, value in points.items():
+        np.testing.assert_array_equal(value, full[name], strict=True)
 
 
 def test_scan_optional_fields_absent(tmp_path):

@@ -288,6 +288,19 @@ def test_fuse_cloud_rejects_mismatched_classes():
                    static_traj(), np.eye(4), SphericalModel(), 2)
 
 
+@pytest.mark.parametrize("field", ["xyz", "lidar_probs"])
+def test_fuse_cloud_rejects_non_finite_input_by_name(field):
+    """A NaN point or prior would come back as a NaN row of the cloud."""
+    C = 3
+    xyz = np.array([[0.0, 0, 5.0], [1.0, 0, 5.0]])
+    lidar = np.full((2, C), 1.0 / C)
+    {"xyz": xyz, "lidar_probs": lidar}[field][1, 0] = np.nan
+    view = CameraView(simple_cam(), constant_frame(80, 100, C, 1))
+    with pytest.raises(InvalidInputError, match=f"cloud {field} must be finite"):
+        fuse_cloud(xyz, 0.0, lidar, [view], static_traj(), np.eye(4),
+                   SphericalModel(width=64, height=16), C)
+
+
 def test_fuse_cloud_detection_cluster_and_reset():
     """Foreground points in the bbox flip to the detected class; background
     points behind them keep their pre-detection argmax."""

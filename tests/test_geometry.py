@@ -32,6 +32,39 @@ def test_pose_rejects_unnormalized_quaternion():
         Pose(0.0, np.zeros(3), np.array([1.0, 1.0, 0, 0]))
 
 
+@pytest.mark.parametrize("t, translation, rotation, name", [
+    (np.nan, np.zeros(3), IDENTITY_Q, "t"),
+    (0.0, np.array([np.nan, 0, 0]), IDENTITY_Q, "translation"),
+    (0.0, np.array([0, np.inf, 0]), IDENTITY_Q, "translation"),
+    (0.0, np.zeros(3), np.array([np.nan, 0, 0, 0]), "rotation"),
+], ids=["t", "translation-nan", "translation-inf", "rotation"])
+def test_pose_rejects_non_finite_values_by_name(t, translation, rotation, name):
+    """A NaN quaternion has no norm to compare, and a NaN time would pass the
+    trajectory's ordering check: both are refused where the pose is made."""
+    with pytest.raises(InvalidInputError, match=f"pose {name} must be finite"):
+        Pose(t, translation, rotation)
+
+
+@pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+def test_camera_model_rejects_non_finite_intrinsics_by_name(field):
+    args = dict(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+    with pytest.raises(InvalidInputError, match=f"camera {field} must be finite"):
+        CameraModel(**{**args, field: np.nan})
+
+
+def test_camera_model_rejects_non_finite_extrinsic():
+    T = np.eye(4)
+    T[0, 3] = np.inf
+    with pytest.raises(InvalidInputError, match="camera T_cam_base must be finite"):
+        CameraModel(fx=500, fy=500, cx=320, cy=240, width=640, height=480, T_cam_base=T)
+
+
+@pytest.mark.parametrize("field", ["f_up", "f_down", "r_max"])
+def test_spherical_model_rejects_non_finite_fov_and_range_by_name(field):
+    with pytest.raises(InvalidInputError, match=f"lidar {field} must be finite"):
+        SphericalModel(**{field: np.nan})
+
+
 def test_pose_matrix_round_trip():
     q = np.array([np.cos(0.3), 0, 0, np.sin(0.3)])
     p = Pose(1.0, np.array([1.0, 2.0, 3.0]), q)

@@ -230,7 +230,8 @@ def test_pseudolabels_match_lookup_oracle(labelset):
         world = apply(scan.pose.matrix(), scan.xyz)
         one_hots = np.eye(C)[rng.choice(static_classes, len(world))]
         static_only.integrate_scan(SemanticCloud(world, one_hots), k)
-    assert len(static_only) and not np.isin(static_only.voxel_classes(),
+    assert len(static_only) and not np.isin(static_only.voxel_classes(
+        np.arange(len(static_only))),
                                             labelset.dynamic_indices).any()
     labeled = {}
     for vmap in (vm, empty, static_only):

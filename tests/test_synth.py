@@ -270,7 +270,8 @@ def test_scan_exact_analytic_plane_range(labelset):
     scene = flat_scene(labelset)
     model = SphericalModel(width=64, height=16)
     h = 5.0
-    img, gt = simulate_scan(scene, pose_at(xyz=(0, 0, h)), model)
+    img, gt = simulate_scan(scene, pose_at(xyz=(0, 0, h)), model, NoiseSpec(),
+                            0.0, np.random.default_rng(0))
     hit = img.range > 0
     assert hit.any()
     rows = np.nonzero(hit)[0 if hit.ndim == 1 else 0]
@@ -286,20 +287,21 @@ def test_scan_ground_truth_noise_free(labelset):
     scene = flat_scene(labelset)
     model = SphericalModel(width=32, height=8)
     noisy = NoiseSpec(range_sigma=0.5)
-    _, gt_a = simulate_scan(scene, pose_at(xyz=(0, 0, 5)), model, noisy,
-                            rng=np.random.default_rng(1))
-    _, gt_b = simulate_scan(scene, pose_at(xyz=(0, 0, 5)), model, noisy,
-                            rng=np.random.default_rng(2))
+    _, gt_a = simulate_scan(scene, pose_at(xyz=(0, 0, 5)), model, noisy, 0.0,
+                            np.random.default_rng(1))
+    _, gt_b = simulate_scan(scene, pose_at(xyz=(0, 0, 5)), model, noisy, 0.0,
+                            np.random.default_rng(2))
     np.testing.assert_array_equal(gt_a, gt_b)
 
 
 def test_scan_range_noise_applied(labelset):
     scene = flat_scene(labelset)
     model = SphericalModel(width=32, height=8)
-    clean, _ = simulate_scan(scene, pose_at(xyz=(0, 0, 5)), model)
+    clean, _ = simulate_scan(scene, pose_at(xyz=(0, 0, 5)), model, NoiseSpec(),
+                             0.0, np.random.default_rng(0))
     noisy, _ = simulate_scan(scene, pose_at(xyz=(0, 0, 5)), model,
-                             NoiseSpec(range_sigma=0.1),
-                             rng=np.random.default_rng(3))
+                             NoiseSpec(range_sigma=0.1), 0.0,
+                             np.random.default_rng(3))
     hit = clean.range > 0
     diff = (noisy.range - clean.range)[hit]
     assert diff.std() == pytest.approx(0.1, rel=0.3)
@@ -308,7 +310,8 @@ def test_scan_range_noise_applied(labelset):
 def test_scan_respects_r_max(labelset):
     scene = flat_scene(labelset)
     model = SphericalModel(width=32, height=8, r_max=6.0)
-    img, _ = simulate_scan(scene, pose_at(xyz=(0, 0, 5)), model)
+    img, _ = simulate_scan(scene, pose_at(xyz=(0, 0, 5)), model, NoiseSpec(),
+                           0.0, np.random.default_rng(0))
     hit = img.range > 0
     assert (img.range[hit] <= 6.0).all()
 
@@ -364,7 +367,8 @@ def test_segmentation_depth_and_gt(labelset):
     cam = CameraModel(fx=100, fy=100, cx=50, cy=50, width=100, height=100)
     # world_T_cam for a camera at the origin looking along world +x
     pose_cam = Pose.from_matrix(np.linalg.inv(forward_camera_extrinsic()))
-    frame, gt = simulate_segmentation(scene, pose_cam, cam)
+    frame, gt = simulate_segmentation(scene, pose_cam, cam, NoiseSpec(), pose_cam.t,
+                                      np.random.default_rng(0))
     center = gt[50, 50]
     assert center == labelset.index("building")
     assert frame.depth[50, 50] == pytest.approx(4.0)  # box near face
@@ -385,7 +389,8 @@ def test_detection_for_visible_dynamic_object(labelset):
     scene = Scene([Primitive("box", [8.0, 0, 1.0], [2, 2, 2],
                              labelset.index("vehicle"))], labelset)
     cam = CameraModel(fx=100, fy=100, cx=50, cy=50, width=100, height=100)
-    dets = simulate_detections(scene, camera_pose_forward(), cam)
+    dets = simulate_detections(scene, camera_pose_forward(), cam, NoiseSpec(), 0.0,
+                               np.random.default_rng(0))
     assert len(dets) == 1
     det = dets[0]
     assert det.class_index == labelset.index("vehicle")
@@ -401,7 +406,8 @@ def test_no_detection_for_static_or_behind(labelset):
                        labelset.index("vehicle"))
     scene = Scene([static, behind], labelset)
     cam = CameraModel(fx=100, fy=100, cx=50, cy=50, width=100, height=100)
-    dets = simulate_detections(scene, camera_pose_forward(), cam)
+    dets = simulate_detections(scene, camera_pose_forward(), cam, NoiseSpec(), 0.0,
+                               np.random.default_rng(0))
     assert dets == []
 
 
@@ -410,7 +416,8 @@ def test_detection_miss_rate_one(labelset):
                              labelset.index("vehicle"))], labelset)
     cam = CameraModel(fx=100, fy=100, cx=50, cy=50, width=100, height=100)
     dets = simulate_detections(scene, camera_pose_forward(), cam,
-                               NoiseSpec(det_miss_rate=1.0))
+                               NoiseSpec(det_miss_rate=1.0), 0.0,
+                               np.random.default_rng(0))
     assert dets == []
 
 

@@ -538,7 +538,7 @@ def test_voxel_classes_and_lookup_agree_with_distributions(horizon, rng):
                                   np.bincount(parent_classes(vm, horizon), minlength=C))
     p = vm.distributions(np.arange(len(vm)))
     np.testing.assert_array_equal(p, parent_distributions(vm, np.arange(len(vm))))
-    cls = vm.voxel_classes()
+    cls = vm.voxel_classes(np.arange(len(vm)))
     np.testing.assert_array_equal(cls, np.argmax(p, axis=-1))
     rows = rng.integers(0, len(vm), 50)
     np.testing.assert_array_equal(vm.voxel_classes(rows), cls[rows])
@@ -904,7 +904,7 @@ def whole_reads(vm, horizon, path, first="save") -> dict:
             out = vm.export_cloud()
             return {"export_cloud.xyz": out.xyz, "export_cloud.probs": out.probs}
         if name == "voxel_classes":
-            return {"voxel_classes()": vm.voxel_classes()}
+            return {"voxel_classes()": vm.voxel_classes(np.arange(len(vm)))}
         return {"per_class_voxel_counts": vm.per_class_voxel_counts(horizon)}
     out = one(first)
     for name in WHOLE_READS:
@@ -1083,7 +1083,7 @@ def test_one_normalization_serves_every_read_of_a_state(normalized_shapes, tmp_p
         m.voxel_classes(np.array([2, 3]))
         m.distributions(m.rows_for_keys(m.keys_array[7:8]))
         m.lookup_points(pts)
-        m.voxel_classes()
+        m.voxel_classes(np.arange(len(m)))
         m.save(os.devnull)
         m.export_cloud()
         m.per_class_voxel_counts()
