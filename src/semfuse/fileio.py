@@ -214,6 +214,15 @@ def _finite(z, name: str, path) -> np.ndarray:
     return a
 
 
+def _per_point(z, name: str, path, xyz: np.ndarray) -> np.ndarray:
+    """Field `name` as `_finite` reads it; rejected unless it has one row
+    per row of `xyz`."""
+    a = _finite(z, name, path)
+    if a.shape[:1] != xyz.shape[:1]:
+        raise ParseError(f"{path}: '{name}' has shape {a.shape}, 'xyz' has {xyz.shape}")
+    return a
+
+
 def save_scan(path, xyz: np.ndarray, intensity: np.ndarray | None,
               timestamp: float, scan_id: int,
               lidar_probs: np.ndarray | None = None,
@@ -238,11 +247,12 @@ def _load_scan(path, optional: tuple[str, ...]) -> dict:
     """A scan's points, time, id and label-set hash, and each field of
     `optional` that it holds; the other fields stay unread."""
     with _read_npz(path) as z:
-        out = {"xyz": _finite(z, "xyz", path), "t": float(z["t"]),
+        xyz = _finite(z, "xyz", path)
+        out = {"xyz": xyz, "t": float(z["t"]),
                "scan_id": int(z["scan_id"]), "labelset_hash": str(z["labelset_hash"])}
         for name in optional:
             if name in z:
-                out[name] = _finite(z, name, path)
+                out[name] = _per_point(z, name, path, xyz)
     return out
 
 
@@ -290,10 +300,11 @@ def save_semantic_cloud(path, cloud, labelset_hash: str) -> None:
 
 def load_semantic_cloud(path):
     with _read_npz(path) as z:
+        xyz = _finite(z, "xyz", path)
         cloud = SemanticCloud(
-            xyz=_finite(z, "xyz", path),
-            probs=_finite(z, "probs", path),
-            intensity=_finite(z, "intensity", path) if "intensity" in z else None,
+            xyz=xyz,
+            probs=_per_point(z, "probs", path, xyz),
+            intensity=_per_point(z, "intensity", path, xyz) if "intensity" in z else None,
             frame_id=str(z["frame_id"]),
             timestamp=float(z["t"]),
         )

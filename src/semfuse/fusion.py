@@ -19,6 +19,7 @@ from .geometry import (CameraModel, SphericalModel, Trajectory, apply, check_fin
                        lidar_to_camera, nearest_per_cell, project_pinhole,
                        sample_bilinear)
 from .labels import InvalidInputError
+from .parallel import beside
 
 ALPHA_DYNAMIC = 0.80
 ALPHA_STATIC = 0.25
@@ -173,46 +174,36 @@ def fuse_cloud(xyz: np.ndarray, t_scan: float,
 
     With lidar_probs=None the LiDAR prior is uniform (camera-only mode).
     Points outside every camera keep their LiDAR distribution unchanged.
+    The worker thread copies and checks the prior while the caller projects
+    the points into the cameras, then grows the detection clusters while the
+    caller fuses the image distributions.
     """
     xyz = np.asarray(xyz, dtype=np.float64)
     check_finite("cloud", xyz=xyz)
     n = len(xyz)
-    if lidar_probs is None:
-        probs = np.full((n, num_classes), 1.0 / num_classes)
-    else:
-        probs = np.array(lidar_probs, dtype=np.float64)
-        if probs.shape != (n, num_classes):
+    if lidar_probs is not None:
+        lidar_probs = np.asarray(lidar_probs)
+        if lidar_probs.shape != (n, num_classes):
             raise InvalidInputError(
-                f"lidar_probs shape {probs.shape} != ({n}, {num_classes})")
-        check_finite("cloud", lidar_probs=probs)
+                f"lidar_probs shape {lidar_probs.shape} != ({n}, {num_classes})")
+    probs = np.empty((n, num_classes))
+    with beside(_lidar_prior, lidar_probs, probs):
+        # per view: the rows inside its image, their u, v and depth, and the
+        # image's distribution at each
+        cams = [_camera_rows(xyz, t_scan, view, traj, T_base_lidar, num_classes)
+                for view in views]
+    # clusters depend on the points' geometry alone, so the worker grows
+    # them while the caller fuses the image distributions
+    with beside(_detection_clusters, xyz, views, cams, model, s) as clustered:
+        for idx, _, _, _, img_p in cams:
+            probs[idx] = lb.bayes_fuse(np.take(probs, idx, axis=0), img_p)
+        # snapshot after image fusion of the rows each detecting camera sees:
+        # the reset target for border effects
+        pre_detection = [np.take(probs, idx, axis=0) if view.detections else None
+                         for view, (idx, _, _, _, _) in zip(views, cams)]
 
-    cams = []  # per view: the rows inside its image, with their u, v and depth
-    for view in views:
-        _check_frame(view.frame, view.cam)
-        if view.frame.probs.shape[-1] != num_classes:
-            raise InvalidInputError("segmentation frame class count mismatch")
-        p_cam = lidar_to_camera(xyz, t_scan, view.t, traj, view.cam, T_base_lidar)
-        u, v, inside = project_pinhole(p_cam, view.cam)
-        idx = np.flatnonzero(inside)
-        u, v = np.take(u, idx), np.take(v, idx)
-        cams.append((idx, u, v, p_cam[idx, 2]))
-        img_p = sample_bilinear(view.frame.probs, u, v)
-        img_p /= img_p.sum(axis=-1, keepdims=True)
-        probs[idx] = lb.bayes_fuse(np.take(probs, idx, axis=0), img_p)
-
-    # snapshot after image fusion of the rows each detecting camera sees: the
-    # reset target for border effects
-    pre_detection = [np.take(probs, idx, axis=0) if view.detections else None
-                     for view, (idx, _, _, _) in zip(views, cams)]
-
-    for view, (rows, u, v, depth), pre in zip(views, cams, pre_detection):
-        for det in _sorted_detections(view.detections):
-            # positions among the camera's rows; rows[...] are cloud rows
-            in_bbox = np.flatnonzero(det.contains(u, v))
-            if len(in_bbox) == 0:
-                continue
-            idx = rows[in_bbox]
-            member, _, _ = cluster_bbox_points(xyz[idx], depth[in_bbox], model, s)
+    for (rows, u, v, _, _), pre, clusters in zip(cams, pre_detection, clustered.result()):
+        for det, in_bbox, member in clusters:
             mem = in_bbox[member]
             det_p = detection_distribution(det, u[mem], v[mem], num_classes)
             probs[rows[mem]] = lb.bayes_fuse(probs[rows[mem]], det_p)
@@ -224,7 +215,54 @@ def fuse_cloud(xyz: np.ndarray, t_scan: float,
 
     if intensity is not None:
         intensity = np.asarray(intensity, dtype=np.float64)
+        if intensity.shape != (n,):
+            raise InvalidInputError(f"intensity shape {intensity.shape} != ({n},)")
     return SemanticCloud(xyz, probs, intensity=intensity, timestamp=t_scan)
+
+
+def _lidar_prior(lidar_probs: np.ndarray | None, out: np.ndarray) -> None:
+    """The LiDAR prior as float64 into `out`: uniform without LiDAR
+    probabilities; NaN or infinite ones are rejected by name."""
+    if lidar_probs is None:
+        out.fill(1.0 / out.shape[1])
+    else:
+        np.copyto(out, lidar_probs, casting="unsafe")
+        check_finite("cloud", lidar_probs=out)
+
+
+def _detection_clusters(xyz: np.ndarray, views: list[CameraView], cams: list,
+                        model: SphericalModel, s: float) -> list:
+    """Per view, (detection, in_bbox, member) for each of its detections, in
+    fusion order, whose box holds points: in_bbox indexes the view's rows
+    inside the box, and member marks the cluster among them."""
+    out = []
+    for view, (rows, u, v, depth, _) in zip(views, cams):
+        found = []
+        for det in _sorted_detections(view.detections):
+            in_bbox = np.flatnonzero(det.contains(u, v))
+            if len(in_bbox):
+                member, _, _ = cluster_bbox_points(xyz[rows[in_bbox]], depth[in_bbox],
+                                                   model, s)
+                found.append((det, in_bbox, member))
+        out.append(found)
+    return out
+
+
+def _camera_rows(xyz: np.ndarray, t_scan: float, view: CameraView, traj: Trajectory,
+                 T_base_lidar: np.ndarray, num_classes: int):
+    """(rows, u, v, depth, probs) of the points that project inside the
+    view's image: their cloud rows, pixel coordinates, camera-frame depths
+    and the image's normalized distribution at each."""
+    _check_frame(view.frame, view.cam)
+    if view.frame.probs.shape[-1] != num_classes:
+        raise InvalidInputError("segmentation frame class count mismatch")
+    p_cam = lidar_to_camera(xyz, t_scan, view.t, traj, view.cam, T_base_lidar)
+    u, v, inside = project_pinhole(p_cam, view.cam)
+    idx = np.flatnonzero(inside)
+    u, v = np.take(u, idx), np.take(v, idx)
+    img_p = sample_bilinear(view.frame.probs, u, v)
+    img_p /= img_p.sum(axis=-1, keepdims=True)
+    return idx, u, v, p_cam[idx, 2], img_p
 
 
 def warp_previous_frame(prev: SegmentationFrame, T_cur_prev: np.ndarray,

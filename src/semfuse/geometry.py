@@ -8,6 +8,7 @@ import numpy as np
 from scipy.spatial.transform import Rotation, Slerp
 
 from .labels import InvalidInputError
+from .parallel import split_rows
 
 # extrapolation beyond trajectory ends, seconds
 EXTRAPOLATION_LIMIT = 0.1
@@ -75,20 +76,25 @@ def invert(T: np.ndarray) -> np.ndarray:
 # OpenBLAS runs a gemm on the calling thread alone when M*N*K <= 65536 * 4;
 # a larger product wakes a worker thread that then spins on another core
 # after the call returns. An (n, 3) @ (3, 3) block of at most this many rows
-# (29127 * 9 <= 262144) stays on the caller, and each row's product is the
-# same bits as in one whole product.
+# (29127 * 9 <= 262144) stays on the thread that runs it, and each row's
+# product is the same bits as in one whole product.
 APPLY_BLOCK_ROWS = 29_127
 
 
 def apply(T: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Apply a 4x4 transform to (N, 3) points; other shapes are rejected by
-    name."""
+    name. The worker thread transforms half of the blocks."""
     p = _point_rows(points)
-    R = T[:3, :3].T
+    R, t = T[:3, :3].T, T[:3, 3]
     out = np.empty(p.shape)
-    for i in range(0, len(p), APPLY_BLOCK_ROWS):
-        np.matmul(p[i:i + APPLY_BLOCK_ROWS], R, out=out[i:i + APPLY_BLOCK_ROWS])
-    out += T[:3, 3]
+
+    def transform(lo, hi):
+        for i in range(lo, hi, APPLY_BLOCK_ROWS):
+            j = min(i + APPLY_BLOCK_ROWS, hi)
+            np.matmul(p[i:j], R, out=out[i:j])
+        out[lo:hi] += t
+
+    split_rows(transform, len(p), APPLY_BLOCK_ROWS)
     return out
 
 
@@ -231,14 +237,26 @@ def pinhole_rays(cam: CameraModel) -> np.ndarray:
                      np.ones((cam.height, cam.width))], axis=-1)
 
 
-def sample_bilinear(grid: np.ndarray, u, v):
-    """Bilinearly sample an (H, W, C) grid at subpixel (u, v); a grid of
-    another shape is rejected by name.
+def sample_bilinear(grid: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Bilinearly sample an (H, W, C) grid at the subpixel points (u[i],
+    v[i]), one row of the (N, C) float64 result each; a grid of another
+    shape, or u and v that are not 1-D arrays of one length, are rejected
+    by name. The worker thread samples half of the rows.
 
     Coordinates address cell centers at integer positions; borders clamp.
     """
     if grid.ndim != 3:
         raise InvalidInputError(f"grid must have shape (H, W, C), got {grid.shape}")
+    u, v = np.asarray(u), np.asarray(v)
+    if u.ndim != 1 or u.shape != v.shape:
+        raise InvalidInputError(
+            f"u and v must be 1-D arrays of one length, got {u.shape} and {v.shape}")
+    out = np.empty((len(u), grid.shape[2]))
+    split_rows(lambda lo, hi: _bilinear(grid, u[lo:hi], v[lo:hi], out[lo:hi]), len(u))
+    return out
+
+
+def _bilinear(grid: np.ndarray, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
     H, W, C = grid.shape
     uc = np.clip(u, 0.0, W - 1.0)
     vc = np.clip(v, 0.0, H - 1.0)
@@ -255,15 +273,13 @@ def sample_bilinear(grid: np.ndarray, u, v):
     v0 *= W
     v1 *= W
     gu, gv = 1 - fu, 1 - fv
-    val = np.take(cells, v0 + u0, axis=0).astype(np.float64, copy=False)
-    val *= gu
-    val *= gv
+    np.multiply(np.take(cells, v0 + u0, axis=0), gu, out=out)
+    out *= gv
     for row, col, wu, wv in ((v0, u1, fu, gv), (v1, u0, gu, fv), (v1, u1, fu, fv)):
         term = np.take(cells, row + col, axis=0).astype(np.float64, copy=False)
         term *= wu
         term *= wv
-        val += term
-    return val
+        out += term
 
 
 def _point_rows(points) -> np.ndarray:

@@ -21,6 +21,7 @@ from . import labels as lb
 from .fusion import SemanticCloud
 from .geometry import _point_rows
 from .labels import InvalidInputError
+from .parallel import beside, split_rows
 
 SNAPSHOT_MAGIC = b"SFV2"
 # the layout before records held packed keys (int32 ix iy iz per record)
@@ -79,6 +80,21 @@ def unpack_keys(packed: np.ndarray) -> np.ndarray:
                     (p >> _KEY_BITS) & _KEY_MASK,
                     p & _KEY_MASK], axis=-1)
     return out - _KEY_OFFSET
+
+
+def _clamped_logs(probs: np.ndarray, finite: np.ndarray, logs: np.ndarray,
+                  scan_id: int) -> None:
+    """log(max(probs, EPS_FLOOR)) into `logs`; NaN or infinite probs are
+    rejected, with `finite` as scratch."""
+    if not np.isfinite(probs, out=finite).all():
+        raise InvalidInputError(f"scan {scan_id}: cloud probs has non-finite entries")
+    np.maximum(probs, lb.EPS_FLOOR, out=logs)
+    np.log(logs, out=logs)
+
+
+def _merged_logs(M, logs: np.ndarray) -> np.ndarray:
+    """The normalized sum of the logs each row of M lists."""
+    return lb.log_normalize(M @ logs, axis=-1)
 
 
 class VoxelMap:
@@ -230,58 +246,65 @@ class VoxelMap:
             raise InvalidInputError(
                 f"scan {scan_id}: cloud probs shape {probs.shape} != "
                 f"({len(xyz)}, {self.num_classes})")
-        if not np.isfinite(probs).all():
-            raise InvalidInputError(
-                f"scan {scan_id}: cloud probs has non-finite entries")
-        # rejects non-finite or out-of-range coordinates
-        packed = pack_keys(voxel_keys(xyz, self.voxel_size))
+        n = len(xyz)
+        logs = np.empty(probs.shape)
+        # the worker checks probs and takes their clamped logs while the
+        # caller groups co-voxel points by sorting the packed keys; its
+        # rejection comes first, as in serial order
+        with beside(_clamped_logs, probs, np.empty(probs.shape, dtype=bool), logs,
+                    scan_id):
+            # rejects non-finite or out-of-range coordinates
+            packed = pack_keys(voxel_keys(xyz, self.voxel_size))
+            order = np.argsort(packed)
+            sp = np.take(packed, order)
+            boundary = np.empty(n, dtype=bool)
+            boundary[:1] = True
+            np.not_equal(sp[1:], sp[:-1], out=boundary[1:])
+            starts = np.flatnonzero(boundary)
+            counts = np.diff(starts, append=n)
+            # a shared voxel sums its points in input order: row j of M lists
+            # the points of voxel several[j] in ascending (input) order, and a
+            # product with M adds 1.0 * each listed row onto zeros in that
+            # order (a -0.0 position sum reads +0.0, as it does once added to
+            # the stored total)
+            shared = counts > 1
+            several = np.flatnonzero(shared)
+            indptr = np.zeros(len(several) + 1, dtype=np.int64)
+            np.cumsum(np.take(counts, several), out=indptr[1:])
+            M = csr_matrix((np.ones(indptr[-1]), order[np.repeat(shared, counts)], indptr),
+                           shape=(len(several), n))
+            M.sort_indices()
         self.last_scan_id = scan_id
         self._views.clear()
         self._classes.clear()
-        n = len(xyz)
-        if n == 0:
-            return
-        # group co-voxel points by sorting the packed keys
-        order = np.argsort(packed)
-        sp = np.take(packed, order)
-        boundary = np.empty(n, dtype=bool)
-        boundary[0] = True
-        np.not_equal(sp[1:], sp[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
-        counts = np.diff(starts, append=n)
-        # a lone point's clamped log of a unit-sum row is already normalized
-        # up to float rounding, so a lone voxel's state is its point's
-        logs = np.maximum(probs, lb.EPS_FLOOR)
-        np.log(logs, out=logs)
-        first = np.take(order, starts)
-        scan_L = np.take(logs, first, axis=0)
-        pos = np.take(xyz, first, axis=0)
-        # a shared voxel sums its points in input order: row j of M lists the
-        # points of voxel several[j] in ascending (input) order, and a product
-        # with M adds 1.0 * each listed row onto zeros in that order (a -0.0
-        # position sum reads +0.0, as it does once added to the stored total)
-        shared = counts > 1
-        several = np.flatnonzero(shared)
-        indptr = np.zeros(len(several) + 1, dtype=np.int64)
-        np.cumsum(np.take(counts, several), out=indptr[1:])
-        M = csr_matrix((np.ones(indptr[-1]), order[np.repeat(shared, counts)], indptr),
-                       shape=(len(several), n))
-        M.sort_indices()
-        scan_L[several] = lb.log_normalize(M @ logs, axis=-1)
-        pos[several] = M @ xyz
 
-        rows = self._rows_for(np.take(sp, starts))
-        # positions column by column: 1-D gathers and scatters beat row-wise
-        # ones on a 3-column array
-        for axis in range(3):
-            total, column = self._pos_sum[:, axis], pos[:, axis]
-            column += total[rows]
-            total[rows] = column
-        self._n_points[rows] += counts
+        # the worker merges the shared voxels' logs while the caller gathers
+        # the lone ones and updates positions: a lone point's clamped log of
+        # a unit-sum row is already normalized up to float rounding, so a
+        # lone voxel's state is its point's
+        with beside(_merged_logs, M, logs) as merged:
+            first = np.take(order, starts)
+            scan_L = np.take(logs, first, axis=0)
+            pos = np.take(xyz, first, axis=0)
+            pos[several] = M @ xyz
+            rows = self._rows_for(np.take(sp, starts))
+            # positions column by column: 1-D gathers and scatters beat
+            # row-wise ones on a 3-column array
+            for axis in range(3):
+                total, column = self._pos_sum[:, axis], pos[:, axis]
+                column += total[rows]
+                total[rows] = column
+            self._n_points[rows] += counts
+        scan_L[several] = merged.result()
 
-        L = np.take(self._L_inf, rows, axis=0)
-        L += scan_L
-        self._L_inf[rows] = L
+        def accumulate(lo, hi):
+            at = rows[lo:hi]
+            L = np.take(self._L_inf, at, axis=0)
+            L += scan_L[lo:hi]
+            self._L_inf[at] = L
+
+        # each voxel has one row, so the halves write disjoint rows
+        split_rows(accumulate, len(rows))
         H = self.n_horizon
         if H is not None:
             n_scans = np.take(self._n_scans, rows)

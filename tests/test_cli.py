@@ -349,6 +349,32 @@ def test_pseudolabel_refuses_scans_of_another_label_set(log_dir, camonly_dir, ru
     assert not (tmp_path / "out" / "pseudolabels").exists()
 
 
+def test_fuse_refuses_a_scan_whose_intensity_is_short(log_dir, runner, tmp_path):
+    """A scan with fewer intensities than points fails `fuse` with one error
+    line naming the scan and the field, before it writes a cloud that a later
+    `pseudolabel --include-intensity` would index past."""
+    scans = tmp_path / "scans"
+    scans.mkdir()
+    for path in fileio.list_sorted(os.path.join(log_dir, "scans"), ".npz"):
+        scan = fileio.load_scan(path)
+        cut = 5 if path.endswith("scan_0000.npz") else 0
+        fileio.save_scan(scans / os.path.basename(path), scan["xyz"],
+                         scan["intensity"][:len(scan["xyz"]) - cut], scan["t"],
+                         scan["scan_id"], lidar_probs=scan["lidar_probs"],
+                         gt_class=scan["gt_class"], labelset_hash=scan["labelset_hash"])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**absolute_config(log_dir, tmp_path / "out"),
+                                  "scans_dir": str(scans)}))
+    res = runner.invoke(main, ["fuse", "--config", str(config)])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    lines = res.output.splitlines()
+    assert len(lines) == 1, res.output
+    assert lines[0].startswith(f"error: {scans / 'scan_0000.npz'}: 'intensity' has shape")
+    assert not (tmp_path / "out" / "clouds").exists() or not os.listdir(
+        tmp_path / "out" / "clouds")
+
+
 @pytest.mark.parametrize("args, what", [
     pytest.param(["pseudolabel", "--window", "-1"], "window must be >= 0, got -1",
                  id="negative-window"),

@@ -478,6 +478,27 @@ def test_npz_non_finite_field_rejected(tmp_path, rng, kind, field, bad):
         arrays(path)
 
 
+@pytest.mark.parametrize("kind, field", [
+    ("scan", "intensity"), ("scan", "lidar_probs"), ("scan", "gt_class"),
+    ("cloud", "probs"), ("cloud", "intensity"),
+])
+@pytest.mark.parametrize("cut", [-5, 1])
+def test_npz_per_point_field_of_another_length_rejected(tmp_path, rng, kind, field, cut):
+    """A per-point field with more or fewer rows than `xyz` is refused by
+    file and field when loaded, not left for a later stage to index past."""
+    write, arrays = KINDS[kind]
+    path = tmp_path / "a.npz"
+    write(path, rng)
+    with np.load(path) as z:
+        value = z[field]
+    value = value[:cut] if cut < 0 else np.concatenate([value, value[:cut]])
+    write(path, rng, **{field: value})
+    with pytest.raises(ParseError, match=f"a.npz: '{field}' has shape .*'xyz' has"):
+        arrays(path)
+    if kind == "scan" and field != "intensity":
+        load_scan_points(path)
+
+
 def test_frame_nan_depth_means_no_return(tmp_path, rng):
     depth = rng.uniform(1, 5, (5, 6))
     depth[0, :3] = np.nan

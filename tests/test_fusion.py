@@ -14,6 +14,7 @@ from semfuse.geometry import (CameraModel, Pose, SphericalModel, Trajectory, app
                               project_pinhole, render_range_image, sample_bilinear)
 from semfuse.labels import InvalidInputError, LabelSet, bayes_fuse
 from semfuse.voxelmap import VoxelMap
+from tests.conftest import assert_same_bits, serial_fuse_cloud
 
 IDENTITY_Q = np.array([1.0, 0, 0, 0])
 
@@ -403,6 +404,85 @@ def test_fuse_cloud_empty_points():
     cloud = fuse_cloud(np.zeros((0, 3)), 0.0, np.zeros((0, C)), [],
                        static_traj(), np.eye(4), SphericalModel(), C)
     assert len(cloud) == 0
+
+
+def oracle_views(rng, C, dtype=np.float64, detections=True):
+    """Two overlapping cameras, the second 40 ms after the scan, each with
+    a random frame and, optionally, detections over its centre."""
+    cams = [simple_cam(), CameraModel(fx=110, fy=110, cx=60, cy=45, width=120, height=90,
+                                      T_cam_base=Pose(0, [0.1, 0, 0], IDENTITY_Q).matrix())]
+    dets = [[Detection(0, 0.95, (30, 20, 70, 60)), Detection(2, 0.7, (0, 0, 50, 80))],
+            [Detection(1, 0.9, (40, 30, 90, 70), source="thermal")]]
+    return [CameraView(cam, frame_of(rng.dirichlet(np.full(C, 0.7), (cam.height, cam.width))
+                                     .astype(dtype)),
+                       d if detections else [], timestamp=t)
+            for cam, d, t in zip(cams, dets, (0.2, 0.24))]
+
+
+def moving_traj():
+    return Trajectory([Pose(0.0, np.zeros(3), IDENTITY_Q),
+                       Pose(1.0, [2.0, 0.5, 0.0], [0.9, np.sqrt(1 - 0.81), 0.0, 0.0])])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("lidar", [True, False])
+def test_fuse_cloud_of_a_few_points_matches_the_serial_oracle(n, lidar):
+    """Clouds of 0-3 points, all in view: the split scan path has the bits
+    of the serial one."""
+    rng = np.random.default_rng(n)
+    C = 5
+    xyz = np.column_stack([rng.uniform(-0.5, 0.5, (n, 2)), rng.uniform(2, 6, n)])
+    probs = rng.dirichlet(np.ones(C), n) if lidar else None
+    args = (xyz, 0.2, probs, oracle_views(rng, C), moving_traj(), np.eye(4),
+            SphericalModel(), C)
+    intensity = rng.random(n)
+    cloud = fuse_cloud(*args, intensity=intensity)
+    want = serial_fuse_cloud(*args, intensity=intensity)
+    for got, expected in zip((cloud.xyz, cloud.probs, cloud.intensity), want):
+        assert_same_bits(got, expected)
+
+
+@pytest.mark.parametrize("seen", [0, 1, 2])
+def test_fuse_cloud_of_a_camera_that_sees_few_points_matches_the_serial_oracle(seen):
+    """A camera that sees 0, 1 or 2 of 60 points, the rest behind it."""
+    rng = np.random.default_rng(seen)
+    C = 4
+    xyz = np.column_stack([rng.uniform(-0.3, 0.3, (60, 2)), np.full(60, -5.0)])
+    xyz[:seen, 2] = 3.0
+    views = [CameraView(simple_cam(), frame_of(rng.dirichlet(np.ones(C), (80, 100))),
+                        [Detection(3, 0.9, (0, 0, 100, 80))])]
+    args = (xyz, 0.0, rng.dirichlet(np.ones(C), 60), views, static_traj(), np.eye(4),
+            SphericalModel(), C)
+    cloud = fuse_cloud(*args)
+    assert_same_bits(cloud.probs, serial_fuse_cloud(*args)[1])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("detections", [True, False])
+def test_fuse_cloud_matches_the_serial_oracle(dtype, detections):
+    """Many points, two cameras offset in time from the scan, detections
+    of both sources, float32 or float64 inputs: equal bits."""
+    rng = np.random.default_rng(7)
+    C, n = 5, 40_000
+    xyz = np.column_stack([rng.uniform(-4, 4, (n, 2)), rng.uniform(-3, 12, n)])
+    probs = rng.dirichlet(np.full(C, 0.5), n).astype(dtype)
+    T_base_lidar = Pose(0, [0, 0.05, 0.1], IDENTITY_Q).matrix()
+    args = (xyz.astype(dtype), 0.21, probs, oracle_views(rng, C, dtype, detections),
+            moving_traj(), T_base_lidar, SphericalModel(), C)
+    intensity = rng.random(n).astype(dtype)
+    cloud = fuse_cloud(*args, intensity=intensity)
+    want = serial_fuse_cloud(*args, intensity=intensity)
+    for got, expected in zip((cloud.xyz, cloud.probs, cloud.intensity), want):
+        assert_same_bits(got, expected)
+
+
+@pytest.mark.parametrize("shape", [(35,), (40, 1), ()])
+def test_fuse_cloud_rejects_intensity_of_another_shape_by_name(shape):
+    """Intensity is one value per point, as the loaders check per file."""
+    C = 3
+    with pytest.raises(InvalidInputError, match=r"intensity shape .* != \(40,\)"):
+        fuse_cloud(np.ones((40, 3)), 0.0, None, [], static_traj(), np.eye(4),
+                   SphericalModel(), C, intensity=np.zeros(shape))
 
 
 def test_fuse_cloud_distributions_normalized(rng):

@@ -14,7 +14,8 @@ from semfuse.geometry import (APPLY_BLOCK_ROWS, CameraModel, OutOfRangeError,
                               spherical_ray_directions, unproject_spherical)
 from semfuse.labels import InvalidInputError
 from semfuse.voxelmap import VoxelMap
-from tests.conftest import assert_blank_range_image
+from tests.conftest import (assert_blank_range_image, assert_same_bits, serial_apply,
+                            serial_sample_bilinear)
 
 IDENTITY_Q = np.array([1.0, 0, 0, 0])
 
@@ -193,6 +194,20 @@ def test_apply_in_blocks_equals_one_product(n):
     assert out.shape == (n, 3) and np.array_equal(out, whole)
 
 
+B = APPLY_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, B - 1, B, B + 1, 2 * B, 3 * B, 5 * B - 7])
+def test_apply_matches_the_serial_blocks(n):
+    """With its blocks split between the worker and the caller, `apply` has
+    the bits of the serial blocked product, at an odd and an even block
+    count and at every block edge."""
+    rng = np.random.default_rng(n)
+    T = Pose(0.0, rng.normal(size=3), np.array([0.5, -0.5, 0.5, 0.5])).matrix()
+    pts = rng.uniform(-60, 60, (n, 3))
+    assert_same_bits(apply(T, pts), serial_apply(T, pts))
+
+
 @pytest.mark.parametrize("shape", [(3,), (3, 2), (2, 3, 3)])
 def test_apply_rejects_points_of_another_shape_by_name(shape):
     """One point is a (1, 3) array; a bare (3,) point is rejected like any
@@ -270,6 +285,25 @@ def test_bilinear_border_clamp_and_bounds():
     # inside the grid's border cell and beyond it, u clamps to the edge
     val = sample_bilinear(grid, np.array([-0.4, -0.6, 1.6]), np.array([0.0, 0.0, 0.0]))
     np.testing.assert_allclose(val, [[1.0], [1.0], [2.0]], atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 1001])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_bilinear_matches_the_serial_sampling(n, dtype):
+    """Split by rows between the worker and the caller, sampling has the
+    bits of one serial pass, for float64 and float32 grids."""
+    rng = np.random.default_rng(n)
+    grid = rng.random((7, 9, 4)).astype(dtype)
+    u, v = rng.uniform(-1, 10, n), rng.uniform(-1, 8, n)
+    assert_same_bits(sample_bilinear(grid, u, v), serial_sample_bilinear(grid, u, v))
+
+
+@pytest.mark.parametrize("u, v", [(np.zeros(()), np.zeros(())),
+                                  (np.zeros((2, 1)), np.zeros((2, 1))),
+                                  (np.zeros(3), np.zeros(2))])
+def test_bilinear_rejects_coordinates_that_are_not_one_row_each_by_name(u, v):
+    with pytest.raises(InvalidInputError, match="u and v must be 1-D arrays of one length"):
+        sample_bilinear(np.zeros((2, 2, 1)), u, v)
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (3, 4, 2, 1)])

@@ -17,9 +17,10 @@ from semfuse.fusion import SemanticCloud
 from semfuse.labels import EPS_FLOOR, InvalidInputError, bayes_fuse, log_normalize
 from semfuse.runner import RunConfig
 from semfuse.voxelmap import (VoxelMap, pack_keys, unpack_keys, voxel_keys)
-from tests.conftest import (finite_distributions, parent_classes, parent_distributions,
-                            parent_export, parent_lookup, parent_records, scene_path,
-                            snapshot_records)
+from tests.conftest import (assert_same_state, finite_distributions, map_state,
+                            parent_classes, parent_distributions, parent_export,
+                            parent_lookup, parent_records, scene_path,
+                            serial_integrate_scan, snapshot_records)
 
 
 def cloud(xyz, probs):
@@ -181,6 +182,41 @@ def test_non_finite_scan_is_rejected_and_leaves_map_unchanged(name, row, col,
     np.testing.assert_array_equal(after.probs, before.probs)
     vm.integrate_scan(cloud(scan["xyz"], scan["probs"]), 1)
     assert vm.last_scan_id == 1
+
+
+def oracle_scan(kind, rng, C, size):
+    """(xyz, probs) of a scan of `kind`: a few points, or only lone voxels
+    (one point each), only shared voxels (2-9 points each) or a mix."""
+    few = {"empty": 0, "one": 1, "two": 2, "three": 3}
+    if kind in few:
+        xyz = rng.uniform(0, 2 * size, (few[kind], 3))
+    elif kind == "lone":
+        keys = rng.choice(40 ** 3, 3000, replace=False)
+        xyz = (np.column_stack(np.unravel_index(keys, (40, 40, 40))) + 0.5) * size
+    elif kind == "shared":
+        keys = rng.integers(-20, 20, (400, 3))
+        xyz = np.repeat(keys + 0.5, rng.integers(2, 10, 400), axis=0) * size
+        xyz = rng.permutation(xyz + rng.uniform(-0.4, 0.4, xyz.shape) * size)
+    else:
+        xyz = rng.uniform(-8, 8, (20_000, 3)) * size
+    return xyz, rng.dirichlet(np.full(C, 0.1), len(xyz))
+
+
+@pytest.mark.parametrize("kind", ["empty", "one", "two", "three", "lone", "shared", "mixed"])
+@pytest.mark.parametrize("n_horizon", [None, 2])
+def test_integrate_scan_matches_the_serial_oracle(kind, n_horizon):
+    """Scan after scan, the map's state has the bits of the serial
+    integration: for 0-3 points, and for scans of only lone voxels, only
+    shared voxels or both."""
+    C, size = 6, 0.5
+    rng = np.random.default_rng(len(kind))
+    vm, ref = (VoxelMap(voxel_size=size, num_classes=C, n_horizon=n_horizon)
+               for _ in range(2))
+    for k in range(4):
+        scan = cloud(*oracle_scan(kind, rng, C, size))
+        vm.integrate_scan(scan, k)
+        serial_integrate_scan(ref, scan, k)
+        assert_same_state(map_state(vm), map_state(ref))
 
 
 def test_out_of_range_scan_is_rejected_before_scan_id_moves():
