@@ -15,9 +15,9 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from . import labels as lb
-from .geometry import (CameraModel, SphericalModel, Trajectory, apply, check_finite,
-                       lidar_to_camera, nearest_per_cell, project_pinhole,
-                       sample_bilinear)
+from .geometry import (CameraModel, SphericalModel, Trajectory, _point_rows, apply,
+                       check_finite, lidar_to_camera, nearest_per_cell,
+                       project_pinhole, sample_bilinear)
 from .labels import InvalidInputError
 from .parallel import beside
 
@@ -178,7 +178,7 @@ def fuse_cloud(xyz: np.ndarray, t_scan: float,
     the points into the cameras, then grows the detection clusters while the
     caller fuses the image distributions.
     """
-    xyz = np.asarray(xyz, dtype=np.float64)
+    xyz = _point_rows(xyz)
     check_finite("cloud", xyz=xyz)
     n = len(xyz)
     if lidar_probs is not None:
@@ -186,6 +186,10 @@ def fuse_cloud(xyz: np.ndarray, t_scan: float,
         if lidar_probs.shape != (n, num_classes):
             raise InvalidInputError(
                 f"lidar_probs shape {lidar_probs.shape} != ({n}, {num_classes})")
+    if intensity is not None:
+        intensity = np.asarray(intensity, dtype=np.float64)
+        if intensity.shape != (n,):
+            raise InvalidInputError(f"intensity shape {intensity.shape} != ({n},)")
     probs = np.empty((n, num_classes))
     with beside(_lidar_prior, lidar_probs, probs):
         # per view: the rows inside its image, their u, v and depth, and the
@@ -213,10 +217,6 @@ def fuse_cloud(xyz: np.ndarray, t_scan: float,
             out = out[np.argmax(probs[rows[out]], axis=-1) == det.class_index]
             probs[rows[out]] = pre[out]
 
-    if intensity is not None:
-        intensity = np.asarray(intensity, dtype=np.float64)
-        if intensity.shape != (n,):
-            raise InvalidInputError(f"intensity shape {intensity.shape} != ({n},)")
     return SemanticCloud(xyz, probs, intensity=intensity, timestamp=t_scan)
 
 

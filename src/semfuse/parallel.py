@@ -11,11 +11,10 @@ allocates every array that outlives its call: glibc gives each allocating
 thread its own arena, which would hold such arrays apart.
 
 A job runs inline on the caller, as the same function, when the process
-has one usable core, when the worker is busy (a job started inside another
-job's body, by a job, or from a second calling thread), and when the
-worker has not started it by the time the caller needs its result. So no
-job waits behind another. A forked child starts its own worker on first
-use. There is no setting.
+has one usable core and when the worker is busy (a job started inside
+another job's body, by a job, or from a second calling thread), so no job
+waits behind another. A forked child starts its own worker on first use.
+There is no setting.
 """
 
 from __future__ import annotations
@@ -37,14 +36,22 @@ def _forget_worker() -> None:
     _lock, _pool, _busy = threading.Lock(), None, False
 
 
-os.register_at_fork(after_in_child=_forget_worker)
+if hasattr(os, "register_at_fork"):  # a platform without fork has no child to mend
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _cores() -> int:
+    """The cores this process may run on: its affinity mask where the
+    platform has one, else every core."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
 
 
 def _claim() -> ThreadPoolExecutor | None:
     """The worker, marked busy, if a second core is usable and the worker
     is free; None otherwise."""
     global _pool, _busy
-    if len(os.sched_getaffinity(0)) < 2:
+    if _cores() < 2:
         return None
     with _lock:
         if _busy:
@@ -72,20 +79,19 @@ class Job:
     """`fn(*args)`, started on the worker or run inline at once."""
 
     def __init__(self, fn, args):
-        self._fn, self._args = fn, args
+        self._future = None
         pool = _claim()
-        if pool is None:
-            self._future, self._value = None, fn(*args)
-        else:
-            self._future = pool.submit(_run_and_free, fn, args)
+        if pool is not None:
+            try:
+                self._future = pool.submit(_run_and_free, fn, args)
+            except RuntimeError:
+                # the executor refuses new jobs once the interpreter exits
+                _free()
+        if self._future is None:
+            self._value = fn(*args)
 
     def result(self):
-        """The job's value once it has finished; raises its error. A job the
-        worker has not started yet runs inline instead."""
-        if self._future is not None and self._future.cancel():
-            self._future = None
-            _free()
-            self._value = self._fn(*self._args)
+        """The job's value once it has finished; raises its error."""
         return self._value if self._future is None else self._future.result()
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -483,6 +485,14 @@ def test_fuse_cloud_rejects_intensity_of_another_shape_by_name(shape):
     with pytest.raises(InvalidInputError, match=r"intensity shape .* != \(40,\)"):
         fuse_cloud(np.ones((40, 3)), 0.0, None, [], static_traj(), np.eye(4),
                    SphericalModel(), C, intensity=np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (3,), (3, 5)])
+def test_fuse_cloud_rejects_points_of_another_shape_by_name(shape):
+    """Points are rejected at the entry, also when no camera projects them."""
+    with pytest.raises(InvalidInputError,
+                       match=re.escape(f"points must have shape (N, 3), got {shape}")):
+        fuse_cloud(np.ones(shape), 0.0, None, [], static_traj(), np.eye(4), SphericalModel(), 3)
 
 
 def test_fuse_cloud_distributions_normalized(rng):

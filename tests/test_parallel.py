@@ -22,7 +22,7 @@ from semfuse.voxelmap import VoxelMap
 from tests.conftest import assert_same_bits, assert_same_state, map_state
 
 IDENTITY_Q = np.array([1.0, 0, 0, 0])
-TWO_CORES = len(os.sched_getaffinity(0)) >= 2
+TWO_CORES = parallel._cores() >= 2
 needs_two_cores = pytest.mark.skipif(not TWO_CORES, reason="the worker needs a second core")
 
 
@@ -157,6 +157,23 @@ def test_callers_on_many_threads_get_the_serial_bits_and_free_the_worker():
     assert (ran_on() != threading.get_ident()) == TWO_CORES
 
 
+def test_a_worker_that_refuses_jobs_runs_them_inline_and_stays_free(monkeypatch):
+    """An executor refuses new jobs once the interpreter has begun to exit;
+    the job then runs on the caller and the worker is not left marked busy."""
+    refusing = parallel.ThreadPoolExecutor(max_workers=1)
+    refusing.shutdown()
+    monkeypatch.setattr(parallel, "_pool", refusing)
+    assert ran_on() == threading.get_ident()
+    assert ran_on() == threading.get_ident()
+    assert not parallel._busy
+
+
+def test_cores_fall_back_to_the_core_count_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert parallel._cores() == (os.cpu_count() or 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity mask to cut")
 def test_one_usable_core_runs_every_job_inline_with_equal_bits():
     """With the caller's affinity cut to one core, jobs run on the caller,
     and the scan path gives the bits it gives with the worker."""
@@ -217,6 +234,7 @@ def test_a_worker_side_error_is_raised_by_the_caller_and_the_next_scan_is_fresh(
     assert_same_bits(got.probs, want.probs)
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform cannot fork")
 def test_a_forked_child_runs_the_scan_path_on_a_worker_of_its_own():
     """After a scan has started the worker, a forked child's scans finish
     (an alarm ends a child that hangs), on a live worker of the child's
